@@ -11,7 +11,7 @@ lint:
 	$(PYTHON) -m repro.analysis --rules-md-check README.md
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # dual-run trace-hash comparison of a representative experiment (slow ones
 # are exercised manually: `python -m repro fig5 --fast --sanitize`)

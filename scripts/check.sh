@@ -18,7 +18,7 @@ echo "== README rule table drift check =="
 python -m repro.analysis --rules-md-check README.md
 
 echo "== tier-1 tests =="
-python -m pytest -x -q
+python -m pytest -x -q --durations=10
 
 echo "== determinism sanitizer (table2, two seeds) =="
 python -m repro table2 --sanitize

@@ -21,9 +21,13 @@ from .cookie import (
     random_key,
 )
 from .costs import GuardCosts
-from .dns_scheme import (
+from .core import (
     FABRICATED_NS_TTL,
     CookieName,
+    RateEstimator,
+    TokenBucket,
+    UnverifiedResponseLimiter,
+    VerifiedRequestLimiter,
     cookie_name_answer,
     decode_cookie_name,
     delegation_owner,
@@ -39,13 +43,6 @@ from .rfc7873 import (
     attach_edns_cookie,
     extract_edns_cookie,
     strip_edns_cookie,
-)
-from .ratelimit import (
-    RateEstimator,
-    TokenBucket,
-    TopRequesterTracker,
-    UnverifiedResponseLimiter,
-    VerifiedRequestLimiter,
 )
 from .tcp_scheme import TcpProxy
 
@@ -70,7 +67,6 @@ __all__ = [
     "RemoteDnsGuard",
     "TcpProxy",
     "TokenBucket",
-    "TopRequesterTracker",
     "UnverifiedResponseLimiter",
     "VerifiedRequestLimiter",
     "attach_edns_cookie",

@@ -21,8 +21,8 @@ Modules:
 * :mod:`.cookie` — cookie generate/verify + key rotation (§III.E);
 * :mod:`.dns_scheme` — the NS-label cookie codec (§III.B);
 * :mod:`.edns_cookie` — the RFC 7873 codec and cookie computations;
-* :mod:`.ratelimit` — RL1/RL2 token buckets, space-saving tracker,
-  rate estimation (Figure 4);
+* :mod:`.ratelimit` — RL1/RL2 per-source token buckets, rate estimation
+  (Figure 4);
 * :mod:`.admission` — admission shedding, policy escalation, reap
   deadlines (§III.C, §IV.C);
 * :mod:`.local_policy` — the LRS-side hold/stamp/probe decisions
@@ -84,7 +84,6 @@ from .ports import NULL_EMIT, Clock, Emit, Rng
 from .ratelimit import (
     RateEstimator,
     TokenBucket,
-    TopRequesterTracker,
     UnverifiedResponseLimiter,
     VerifiedRequestLimiter,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "Rng",
     "SERVER_COOKIE_LENGTH",
     "TokenBucket",
-    "TopRequesterTracker",
     "UNCOOKIED_TTL",
     "UnverifiedResponseLimiter",
     "VerifiedRequestLimiter",

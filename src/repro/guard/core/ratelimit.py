@@ -1,15 +1,15 @@
 """Rate limiting for the guard pipeline (paper Figure 4).
 
 * **Rate-Limiter1** caps the rate of *unverified* responses (cookie grants,
-  fabricated referrals, truncation replies) per claimed requester, tracking
-  the top requesters so the ANS cannot be used as a traffic reflector.
+  fabricated referrals, truncation replies) per claimed requester, so the
+  ANS cannot be used as a traffic reflector.
 * **Rate-Limiter2** caps the *verified* request rate per real host, which is
   the defence against non-spoofed (zombie) floods and against probing
   attacks on the small COOKIE2 range (§III.G).
 
-Both are built from token buckets.  The top-requester tracker uses the
-space-saving algorithm so memory stays bounded no matter how many spoofed
-sources an attacker invents.
+Both keep one token bucket per source in an LRU table (8192 entries by
+default), so memory and per-packet work stay bounded no matter how many
+spoofed sources an attacker invents.
 
 Pure core: every method takes ``now`` explicitly (the Clock port as an
 argument), draws no randomness and touches no transport — the same
@@ -18,7 +18,6 @@ accounting serves the simulator and a socket front end unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from ipaddress import IPv4Address
 
@@ -33,9 +32,8 @@ __shared_state__ = {
     # too since PR 7: the control plane hot-tunes them via ``reconfigure``
     # from its boundary-lane sweep, so they are scheduler-visible state.
     "TokenBucket": {"guarded": ["_tokens", "_updated_at", "rate", "burst"]},
-    "TopRequesterTracker": {"guarded": ["_counts"], "commutative": ["total"]},
     "UnverifiedResponseLimiter": {
-        "guarded": ["_buckets", "tracker", "per_source_rate", "per_source_burst"],
+        "guarded": ["_buckets", "per_source_rate", "per_source_burst"],
         "commutative": ["allowed", "denied"],
     },
     "VerifiedRequestLimiter": {
@@ -47,14 +45,9 @@ __shared_state__ = {
 
 #: State-bound declaration for the memory analyser
 #: (``repro.analysis.memory``).  Each table is keyed by claimed source
-#: address — spoofable by construction — so each carries its own
-#: eviction: the limiters keep LRU-ordered buckets (``popitem`` at the
-#: cap), the tracker is a space-saving heavy-hitter summary that
-#: displaces its minimum-count victim at capacity.
+#: address — spoofable by construction — so each limiter keeps its
+#: buckets LRU-ordered and drops the least recent (``popitem``) at the cap.
 __state_bounds__ = {
-    "TopRequesterTracker": {
-        "_counts": {"bound": 4096, "evicted_by": "cap", "keyed_by": "attacker"},
-    },
     "UnverifiedResponseLimiter": {
         "_buckets": {"bound": 8192, "evicted_by": "lru", "keyed_by": "attacker"},
     },
@@ -107,60 +100,15 @@ class TokenBucket:
         self._tokens = min(self._tokens, burst)
 
 
-@dataclasses.dataclass(slots=True)
-class _TopEntry:
-    count: int
-    error: int  # space-saving overestimation bound
-
-
-class TopRequesterTracker:
-    """Space-saving heavy-hitter tracker over source addresses.
-
-    Holds at most ``capacity`` counters; the classic guarantee applies: any
-    source with true count > N/capacity is present in the table.
-    """
-
-    __slots__ = ("capacity", "_counts", "total")
-
-    def __init__(self, capacity: int = 1024):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._counts: dict[IPv4Address, _TopEntry] = {}
-        self.total = 0
-
-    def observe(self, source: IPv4Address) -> int:
-        """Count one request from ``source``; returns its (over)count."""
-        self.total += 1
-        entry = self._counts.get(source)
-        if entry is not None:
-            entry.count += 1
-            return entry.count
-        if len(self._counts) < self.capacity:
-            self._counts[source] = _TopEntry(count=1, error=0)
-            return 1
-        # evict the minimum counter, inheriting its count as error bound
-        victim = min(self._counts, key=lambda ip: self._counts[ip].count)
-        floor = self._counts.pop(victim).count
-        self._counts[source] = _TopEntry(count=floor + 1, error=floor)
-        return floor + 1
-
-    def count(self, source: IPv4Address) -> int:
-        entry = self._counts.get(source)
-        return entry.count if entry else 0
-
-    def top(self, k: int) -> list[tuple[IPv4Address, int]]:
-        ranked = sorted(self._counts.items(), key=lambda item: item[1].count, reverse=True)
-        return [(ip, entry.count) for ip, entry in ranked[:k]]
-
-
 class UnverifiedResponseLimiter:
     """Rate-Limiter1: throttles unverified responses per claimed source.
 
     Every response to a not-yet-verified requester consumes from that
-    requester's bucket; sources that are not heavy hitters effectively never
-    hit the limit, while a reflection attack aimed at one victim address is
-    clamped to ``per_source_rate`` responses/sec.
+    requester's token bucket, so a reflection attack aimed at one victim
+    address is clamped to ``per_source_rate`` responses/sec while light
+    requesters never hit the limit.  The buckets live in an LRU table of
+    at most ``max_buckets`` entries: a flood of fresh spoofed sources
+    evicts the least recently seen one per packet, in O(1).
     """
 
     def __init__(
@@ -168,19 +116,16 @@ class UnverifiedResponseLimiter:
         *,
         per_source_rate: float = 100.0,
         per_source_burst: float = 200.0,
-        tracker_capacity: int = 4096,
         max_buckets: int = 8192,
     ):
         self.per_source_rate = per_source_rate
         self.per_source_burst = per_source_burst
-        self.tracker = TopRequesterTracker(tracker_capacity)
         self._buckets: OrderedDict[IPv4Address, TokenBucket] = OrderedDict()
         self._max_buckets = max_buckets
         self.allowed = 0
         self.denied = 0
 
     def allow(self, source: IPv4Address, now: float) -> bool:
-        self.tracker.observe(source)
         bucket = self._buckets.get(source)
         if bucket is None:
             bucket = TokenBucket(self.per_source_rate, self.per_source_burst, now=now)
@@ -205,10 +150,9 @@ class UnverifiedResponseLimiter:
             bucket.reconfigure(rate, burst)
 
     def reset(self) -> None:
-        """Drop all soft state (bucket fill, heavy-hitter counts) — what a
-        guard crash loses; configuration survives."""
+        """Drop all soft state (bucket fill) — what a guard crash loses;
+        configuration survives."""
         self._buckets.clear()
-        self.tracker = TopRequesterTracker(self.tracker.capacity)
 
 
 class VerifiedRequestLimiter:

@@ -165,7 +165,7 @@ def conjunction(*matches: Match) -> Match:
 
 def rate_limit_target(rate: float, burst: float, clock: Callable[[], float]) -> Target:
     """An iptables ``-m limit``-style target: ACCEPT within the budget."""
-    from ..guard.ratelimit import TokenBucket
+    from ..guard.core.ratelimit import TokenBucket
 
     bucket = TokenBucket(rate, burst)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+from collections import OrderedDict
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
@@ -77,7 +78,8 @@ __trust_boundary__ = {
 #: tables directly (the 4-tuple key is attacker-chosen), so the
 #: connection table admits through a capped ``_admit`` — full table ==
 #: SYN-queue overflow, the exact state SYN cookies exist to avoid — and
-#: TIME_WAIT displaces its oldest entry once the purge can free nothing.
+#: TIME_WAIT, kept in expiry order, drops expired entries from its front
+#: and displaces its oldest live entry once nothing has expired.
 __state_bounds__ = {
     "TcpStack": {
         "connections": {
@@ -486,7 +488,7 @@ class TcpStack:
         self.retry_exhaustions = 0
         self.stale_segments = 0
         self.connections_refused = 0
-        self._time_wait: dict[ConnKey, float] = {}
+        self._time_wait: OrderedDict[ConnKey, float] = OrderedDict()
 
     # -- public API ---------------------------------------------------------------
 
@@ -669,16 +671,22 @@ class TcpStack:
     def _forget(self, conn: TcpConnection, *, linger: bool = False) -> None:
         self.connections.pop(conn.key, None)
         if linger:
+            # Every entry lingers the same TIME_WAIT_LINGER and simulated
+            # time only moves forward, so as long as a re-closed key is
+            # removed before it is re-inserted, insertion order is expiry
+            # order: the expired entries are a prefix and the front is the
+            # oldest.  At the cap, popping the front while it has expired
+            # or the table is still full frees every expired entry before
+            # displacing any live one, in amortized O(1) per close.
+            self._time_wait.pop(conn.key, None)
+            now = self.node.sim.now
             if len(self._time_wait) >= TIME_WAIT_CAP:
-                # lazily purge expired entries; if nothing has expired,
-                # displace oldest-first so the cap actually holds
-                now = self.node.sim.now
-                self._time_wait = {
-                    key: until for key, until in self._time_wait.items() if until > now
-                }
-                while len(self._time_wait) >= TIME_WAIT_CAP:
-                    del self._time_wait[next(iter(self._time_wait))]
-            self._time_wait[conn.key] = self.node.sim.now + TIME_WAIT_LINGER
+                while self._time_wait and (
+                    len(self._time_wait) >= TIME_WAIT_CAP
+                    or next(iter(self._time_wait.values())) <= now
+                ):
+                    self._time_wait.popitem(last=False)
+            self._time_wait[conn.key] = now + TIME_WAIT_LINGER
 
     @property
     def open_connections(self) -> int:

@@ -1,4 +1,4 @@
-"""Unit tests for token buckets, heavy-hitter tracking and the rate limiters."""
+"""Unit tests for token buckets and the rate limiters."""
 
 from ipaddress import IPv4Address
 
@@ -7,7 +7,6 @@ import pytest
 from repro.guard import (
     RateEstimator,
     TokenBucket,
-    TopRequesterTracker,
     UnverifiedResponseLimiter,
     VerifiedRequestLimiter,
 )
@@ -43,39 +42,6 @@ class TestTokenBucket:
             TokenBucket(rate=0, burst=1)
         with pytest.raises(ValueError):
             TokenBucket(rate=1, burst=0)
-
-
-class TestTopRequesterTracker:
-    def test_counts_accumulate(self):
-        tracker = TopRequesterTracker(capacity=8)
-        for _ in range(5):
-            tracker.observe(ip(1))
-        assert tracker.count(ip(1)) == 5
-
-    def test_heavy_hitter_survives_churn(self):
-        tracker = TopRequesterTracker(capacity=8)
-        for i in range(1000):
-            tracker.observe(ip(1))  # the heavy hitter
-            tracker.observe(ip(100 + i))  # a sea of one-shot spoofed sources
-        top = [address for address, _ in tracker.top(1)]
-        assert top == [ip(1)]
-
-    def test_capacity_bounded(self):
-        tracker = TopRequesterTracker(capacity=16)
-        for i in range(10000):
-            tracker.observe(ip(i))
-        assert len(tracker._counts) == 16
-
-    def test_top_k_ordering(self):
-        tracker = TopRequesterTracker(capacity=8)
-        for count, host in ((5, 1), (3, 2), (8, 3)):
-            for _ in range(count):
-                tracker.observe(ip(host))
-        assert [address for address, _ in tracker.top(2)] == [ip(3), ip(1)]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            TopRequesterTracker(capacity=0)
 
 
 class TestUnverifiedResponseLimiter:

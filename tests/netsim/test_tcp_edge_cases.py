@@ -15,7 +15,8 @@ from repro.netsim import (
     TcpSegment,
     TcpState,
 )
-from repro.netsim.tcp import SEND_WINDOW_SEGMENTS
+from repro.netsim import tcp
+from repro.netsim.tcp import SEND_WINDOW_SEGMENTS, TIME_WAIT_LINGER, TcpConnection
 
 SERVER_IP = IPv4Address("10.0.0.2")
 
@@ -322,3 +323,51 @@ class TestTimeWaitLinger:
         sim.run(until=sim.now + 0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.stale_segments >= 1
+
+
+class TestTimeWaitCap:
+    """TIME_WAIT at its cap: expired entries go first, then the oldest."""
+
+    CAP = 4
+    PEER = IPv4Address("10.0.0.1")
+
+    @pytest.fixture
+    def stack(self, monkeypatch):
+        monkeypatch.setattr(tcp, "TIME_WAIT_CAP", self.CAP)
+        _, _, server = pair()
+        return server.tcp
+
+    def close(self, stack, port, at):
+        """Cleanly close the connection from ``port`` at simulated ``at``."""
+        stack.node.sim.run(until=at)
+        conn = TcpConnection(stack, SERVER_IP, 53, self.PEER, port)
+        stack._forget(conn, linger=True)
+        return conn.key
+
+    def test_expired_entries_go_before_live_ones(self, stack):
+        old = [self.close(stack, 1000 + i, 0.0) for i in range(2)]
+        live = [self.close(stack, 2000 + i, TIME_WAIT_LINGER / 2) for i in range(2)]
+        new = self.close(stack, 3000, TIME_WAIT_LINGER * 1.2)
+        # both expired entries are freed, not just the oldest one
+        assert list(stack._time_wait) == live + [new]
+        assert not set(old) & set(stack._time_wait)
+
+    def test_oldest_live_entry_displaced_first(self, stack):
+        keys = [self.close(stack, 1000 + i, i * 0.1) for i in range(self.CAP + 1)]
+        assert list(stack._time_wait) == keys[1:]
+
+    def test_reclosed_key_moves_to_newest(self, stack):
+        first, second, third = (self.close(stack, 1000 + i, i * 0.1) for i in range(3))
+        assert self.close(stack, 1000, 0.3) == first
+        assert list(stack._time_wait) == [second, third, first]
+        assert stack._time_wait[first] == pytest.approx(0.3 + TIME_WAIT_LINGER)
+        fourth = self.close(stack, 1003, 0.4)
+        fifth = self.close(stack, 1004, 0.5)
+        # the re-closed key outlives the entries that were newer at first close
+        assert list(stack._time_wait) == [third, first, fourth, fifth]
+
+    def test_cap_holds_over_many_closes(self, stack):
+        for i in range(3 * self.CAP):
+            self.close(stack, 1000 + i, i * 0.05)
+            assert len(stack._time_wait) <= self.CAP
+        assert len(stack._time_wait) == self.CAP

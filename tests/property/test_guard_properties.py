@@ -2,12 +2,11 @@
 
 from ipaddress import IPv4Address
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.guard import (
     CookieFactory,
     TokenBucket,
-    TopRequesterTracker,
     decode_cookie_name,
     encode_cookie_name,
 )
@@ -98,24 +97,3 @@ class TestTokenBucketProperties:
     def test_tokens_never_exceed_burst(self, rate, burst):
         bucket = TokenBucket(rate, burst)
         assert bucket.available(1e9) <= burst
-
-
-class TestTrackerProperties:
-    @given(
-        heavy_count=st.integers(min_value=50, max_value=500),
-        noise=st.integers(min_value=0, max_value=500),
-        capacity=st.integers(min_value=4, max_value=64),
-    )
-    @settings(max_examples=50)
-    def test_majority_source_always_tracked(self, heavy_count, noise, capacity):
-        """Space-saving guarantee: a source with > N/capacity of the traffic
-        is always present in the table."""
-        assume(heavy_count > (heavy_count + noise) / capacity)
-        tracker = TopRequesterTracker(capacity)
-        heavy = IPv4Address("9.9.9.9")
-        for i in range(max(heavy_count, noise)):
-            if i < heavy_count:
-                tracker.observe(heavy)
-            if i < noise:
-                tracker.observe(IPv4Address(0x0A000000 + i))
-        assert tracker.count(heavy) >= heavy_count
