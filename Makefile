@@ -7,7 +7,7 @@ export PYTHONPATH := src
 check: lint test
 
 lint:
-	$(PYTHON) -m repro.analysis --flow --races --perf --memory --layers --baseline scripts/flow_baseline.json --baseline scripts/perf_baseline.json --baseline scripts/memory_baseline.json --fail-on warning src
+	$(PYTHON) -m repro.analysis --baseline scripts/analysis_baseline.json --fail-on warning src
 	$(PYTHON) -m repro.analysis --rules-md-check README.md
 
 test:

@@ -5,14 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== static analysis (lint + taint dataflow + FSM conformance + races + perf + memory + layering) =="
-python -m repro.analysis --flow --races --perf --memory --layers \
-    --baseline scripts/flow_baseline.json \
-    --baseline scripts/perf_baseline.json \
-    --baseline scripts/memory_baseline.json \
-    --fail-on warning \
-    --bench "$(mktemp -u).json" \
-    --sarif "${SARIF_OUT:-/dev/null}" src
+echo "== static analysis (every rule family: lint, flow, races, perf, memory, layers) =="
+python -m repro.analysis --baseline scripts/analysis_baseline.json --fail-on warning --sarif "${SARIF_OUT:-/dev/null}" src
 
 echo "== README rule table drift check =="
 python -m repro.analysis --rules-md-check README.md

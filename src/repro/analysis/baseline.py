@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from ..findings import Finding
+from .findings import Finding
 
 _KEY_FIELDS = ("path", "rule", "message")
 

@@ -1,20 +1,17 @@
-"""``python -m repro.analysis [--flow] [--races] [--perf] [--memory] [paths...]``.
+"""``python -m repro.analysis [--rules IDS] [--baseline FILE] [paths...]``.
 
-Runs the determinism lint (and, with ``--flow``, the taint-dataflow and
-FSM-conformance analyses plus suppression hygiene; with ``--races``, the
-static simultaneity rules R001/R002; with ``--perf``, the profile-guided
-hot-path cost rules P001–P006 weighted by ``--perf-profile``, default
-``scripts/BENCH_profile.json``; with ``--memory``, the state-exhaustion
-rules M001–M005 over ``__state_bounds__`` declarations; with
-``--layers``, the transport-purity layering rules L001–L006 over
-``__layer__`` declarations and the import-layering manifest, including
-the L006 import-isolation witness) over the given paths (default:
-``src``).  Each file is parsed exactly once: the CLI loads a shared
-module set and every rule family analyses the same ASTs; ``--bench``
-appends the analyzer wall-clock to a dated trajectory file.  The exit code follows the ``--fail-on``
-severity contract — by default any finding exits nonzero — so it slots
-directly into CI and pre-commit.
-``--baseline`` (repeatable) accepts known-findings files; ``--sarif``
+Runs every rule family over the given paths (default: ``src``) through
+the one driver, :func:`repro.analysis.engine.analyze`: the determinism
+lint (D/W), taint dataflow and TCP FSM conformance (T/S), the static
+simultaneity rules (R001/R002), the hot-path cost rules (P001–P006,
+weighted by ``--perf-profile``, default ``scripts/BENCH_profile.json``),
+the state-exhaustion rules (M001–M005), the transport-purity layering
+rules (L001–L006, including the L006 import-isolation witness), parse
+failures (E999) and suppression hygiene (U001).  Each file is parsed
+exactly once.  ``--rules`` narrows the run.  The exit code follows the
+``--fail-on`` severity contract — by default any finding exits nonzero
+— so it slots directly into CI and pre-commit.
+``--baseline`` subtracts the accepted-findings file; ``--sarif``
 additionally writes the findings as a SARIF 2.1.0 document for
 code-scanning upload; ``--rules-md`` / ``--rules-md-check`` generate and
 drift-check the README rule table.
@@ -25,72 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-from .engine import SYNTAX_ERROR_RULE, SuppressionTracker, lint_paths
-from .findings import Finding
-from .rules import RULES
+from .baseline import apply_baseline, load_baseline
+from .engine import RULES, UNUSED_SUPPRESSION_RULE, analyze, severity_of
+from .sarif import to_sarif
 
 #: Markers delimiting the generated rule table in README.md.
 RULES_MD_BEGIN = "<!-- rules:begin (generated: python -m repro.analysis --rules-md) -->"
 RULES_MD_END = "<!-- rules:end -->"
-
-
-def _rule_table() -> str:
-    from .flow.engine import flow_rule_table
-    from .layers.engine import layer_rule_table
-    from .memory.engine import memory_rule_table
-    from .perf.engine import perf_rule_table
-    from .races.engine import race_rule_table
-
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(RULES):
-        rule = RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return (
-        "\n".join(lines)
-        + "\n\n"
-        + flow_rule_table()
-        + "\n\n"
-        + race_rule_table()
-        + "\n\n"
-        + perf_rule_table()
-        + "\n\n"
-        + memory_rule_table()
-        + "\n\n"
-        + layer_rule_table()
-    )
-
-
-def _rule_rows() -> list[tuple[str, str, str, str]]:
-    """(id, family, summary, rationale) for every registered rule."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    rows: list[tuple[str, str, str, str]] = []
-    for rule_id in sorted(RULES):
-        rule = RULES[rule_id]
-        family = "hygiene" if rule_id == "U001" else "lint"
-        rows.append((rule_id, family, rule.summary, rule.rationale))
-    rows.append(
-        (
-            SYNTAX_ERROR_RULE,
-            "parse",
-            "file fails to parse",
-            "nothing can be checked in unparsable code",
-        )
-    )
-    for registry in (FLOW_RULES, RACE_RULES, PERF_RULES, MEMORY_RULES, LAYER_RULES):
-        for rule_id in sorted(registry):
-            rule = registry[rule_id]
-            rows.append((rule_id, rule.family, rule.summary, rule.rationale))
-    rows.sort(key=lambda row: row[0])
-    return rows
 
 
 def rules_markdown() -> str:
@@ -100,8 +40,10 @@ def rules_markdown() -> str:
         "| Rule | Family | Summary | Why |",
         "| --- | --- | --- | --- |",
     ]
-    for rule_id, family, summary, rationale in _rule_rows():
-        lines.append(f"| `{rule_id}` | {family} | {summary} | {rationale} |")
+    for rule in RULES.values():
+        lines.append(
+            f"| `{rule.id}` | {rule.family} | {rule.summary} | {rule.rationale} |"
+        )
     lines.append(RULES_MD_END)
     return "\n".join(lines)
 
@@ -115,76 +57,18 @@ def _replace_rules_block(text: str, block: str) -> str | None:
     return text[:begin] + block + text[end + len(RULES_MD_END):]
 
 
-def _split_rule_ids(
-    raw: str,
-) -> tuple[
-    list[str], list[str], list[str], list[str], list[str], list[str], list[str]
-]:
-    """Partition ``--rules`` into (lint, flow, race, perf, memory, layer,
-    unknown)."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    lint_ids: list[str] = []
-    flow_ids: list[str] = []
-    race_ids: list[str] = []
-    perf_ids: list[str] = []
-    memory_ids: list[str] = []
-    layer_ids: list[str] = []
-    unknown: list[str] = []
-    for part in raw.split(","):
-        rule_id = part.strip()
-        if not rule_id:
-            continue
-        if rule_id in RULES:
-            lint_ids.append(rule_id)
-        elif rule_id in FLOW_RULES:
-            flow_ids.append(rule_id)
-        elif rule_id in RACE_RULES:
-            race_ids.append(rule_id)
-        elif rule_id in PERF_RULES:
-            perf_ids.append(rule_id)
-        elif rule_id in MEMORY_RULES:
-            memory_ids.append(rule_id)
-        elif rule_id in LAYER_RULES:
-            layer_ids.append(rule_id)
-        else:
-            unknown.append(rule_id)
-    return lint_ids, flow_ids, race_ids, perf_ids, memory_ids, layer_ids, unknown
-
-
 #: Severity ordering for the ``--fail-on`` exit-code contract.
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
-
-
-def _severity_of(rule_id: str) -> str:
-    """The registered severity for ``rule_id`` (unknown ids rank as error)."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    if rule_id in RULES:
-        return getattr(RULES[rule_id], "severity", "error")
-    for registry in (FLOW_RULES, RACE_RULES, PERF_RULES, MEMORY_RULES, LAYER_RULES):
-        rule = registry.get(rule_id)
-        if rule is not None:
-            return getattr(rule, "severity", "error")
-    return "error"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Static analysis for the reproduction: a determinism lint "
-            "(wall-clock reads, global randomness, unordered scheduling) "
-            "plus, with --flow, taint dataflow over the guard trust "
-            "boundaries and FSM conformance for the TCP model."
+            "Static analysis for the reproduction: every rule family — "
+            "determinism lint, taint dataflow and FSM conformance, "
+            "simultaneity races, hot-path cost, state exhaustion and "
+            "transport-purity layering — in one run."
         ),
     )
     parser.add_argument(
@@ -203,56 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rules",
         default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "also run the dataflow/FSM analyses (T/S rules) and the "
-            "unused-suppression check (U001)"
-        ),
-    )
-    parser.add_argument(
-        "--races",
-        action="store_true",
-        help=(
-            "also run the static simultaneity-race rules (R001/R002) over "
-            "__shared_state__ declarations and schedule sites"
-        ),
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "also run the profile-guided hot-path cost rules (P001-P006) "
-            "over schedule-site callbacks and Node.receive reachability"
-        ),
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help=(
-            "also run the state-exhaustion rules (M001-M005) over "
-            "__state_bounds__ declarations, taint surfaces and the hot set"
-        ),
-    )
-    parser.add_argument(
-        "--layers",
-        action="store_true",
-        help=(
-            "also run the transport-purity layering rules (L001-L006) "
-            "over __layer__ declarations and the import-layering "
-            "manifest, including the L006 import-isolation witness"
-        ),
-    )
-    parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        default=None,
-        help=(
-            "append the analyzer wall-clock to FILE as a dated "
-            "trajectory (scripts/BENCH_analysis.json in CI)"
-        ),
     )
     parser.add_argument(
         "--fail-on",
@@ -282,17 +116,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         metavar="FILE",
-        action="append",
         default=None,
         help=(
             "subtract the accepted-findings baseline; stale entries are "
-            "reported as U001 (repeatable: one file per rule family)"
+            "reported as U001"
         ),
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
     )
     parser.add_argument(
         "--rules-md",
@@ -313,9 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        print(_rule_table())
-        return 0
     if args.rules_md:
         print(rules_markdown())
         return 0
@@ -347,154 +172,25 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    lint_ids = flow_ids = race_ids = perf_ids = memory_ids = layer_ids = None
-    run_flow = args.flow
-    run_races = args.races
-    run_perf = args.perf
-    run_memory = args.memory
-    run_layers = args.layers
+    rule_ids = None
     if args.rules:
-        (
-            lint_ids,
-            flow_ids,
-            race_ids,
-            perf_ids,
-            memory_ids,
-            layer_ids,
-            unknown,
-        ) = _split_rule_ids(args.rules)
-        if unknown:
-            print(
-                f"error: unknown rule ids: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        # asking for a family's rule implies running that engine
-        run_flow = run_flow or bool(flow_ids)
-        run_races = run_races or bool(race_ids)
-        run_perf = run_perf or bool(perf_ids)
-        run_memory = run_memory or bool(memory_ids)
-        run_layers = run_layers or bool(layer_ids)
-
-    timings: list[tuple[str, float]] = []
-    # analyzer wall-clock (host time) — measures the CLI itself, never a
-    # simulation; calls go through the alias so each phase reads alike
-    clock = time.perf_counter
+        # a narrowed run still judges the markers of the rules it ran
+        rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
+        rule_ids.append(UNUSED_SUPPRESSION_RULE)
     try:
-        if run_flow or run_races or run_perf or run_memory or run_layers:
-            from .flow.core import load_modules
-            from .flow.engine import FLOW_RULES, analyze_paths
-            from .layers.engine import LAYER_RULES, analyze_layers
-            from .memory.engine import MEMORY_RULES, analyze_memory
-            from .perf.engine import PERF_RULES, analyze_perf
-            from .races.engine import RACE_RULES, analyze_races
-
-            tracker = SuppressionTracker()
-            # one parse shared by the lint and every rule family
-            t0 = clock()
-            modules = load_modules(args.paths)
-            parsed = {module.path: module for module in modules}
-            timings.append(("parse", clock() - t0))
-            t0 = clock()
-            findings = lint_paths(
-                args.paths, rule_ids=lint_ids, tracker=tracker, parsed=parsed
+        findings = analyze(args.paths, rule_ids=rule_ids, profile=args.perf_profile)
+        if args.baseline:
+            findings = apply_baseline(
+                findings, load_baseline(args.baseline), baseline_path=args.baseline
             )
-            timings.append(("lint", clock() - t0))
-            if run_flow and (flow_ids is None or flow_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_paths(
-                        args.paths,
-                        rule_ids=flow_ids,
-                        tracker=tracker,
-                        modules=modules,
-                    )
-                )
-                timings.append(("flow", clock() - t0))
-            if run_races and (race_ids is None or race_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_races(
-                        args.paths,
-                        rule_ids=race_ids,
-                        tracker=tracker,
-                        modules=modules,
-                    )
-                )
-                timings.append(("races", clock() - t0))
-            if run_perf and (perf_ids is None or perf_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_perf(
-                        args.paths,
-                        rule_ids=perf_ids,
-                        tracker=tracker,
-                        profile=args.perf_profile,
-                        modules=modules,
-                    )
-                )
-                timings.append(("perf", clock() - t0))
-            if run_memory and (memory_ids is None or memory_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_memory(
-                        args.paths,
-                        rule_ids=memory_ids,
-                        tracker=tracker,
-                        profile=args.perf_profile,
-                        modules=modules,
-                    )
-                )
-                timings.append(("memory", clock() - t0))
-            if run_layers and (layer_ids is None or layer_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_layers(
-                        args.paths,
-                        rule_ids=layer_ids,
-                        tracker=tracker,
-                        modules=modules,
-                        runtime=True,
-                    )
-                )
-                timings.append(("layers", clock() - t0))
-            known = (
-                set(RULES)
-                | set(FLOW_RULES)
-                | set(RACE_RULES)
-                | set(PERF_RULES)
-                | set(MEMORY_RULES)
-                | set(LAYER_RULES)
-                | {SYNTAX_ERROR_RULE}
-            )
-            findings.extend(tracker.unused_findings(known))
-        else:
-            t0 = clock()
-            findings = lint_paths(args.paths, rule_ids=lint_ids)
-            timings.append(("lint", clock() - t0))
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.bench:
-        from .bench import write_bench_analysis
-
-        write_bench_analysis(args.bench, timings)
-
-    for baseline_path in args.baseline or ():
-        from .flow.baseline import apply_baseline, load_baseline
-
-        try:
-            entries = load_baseline(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, entries, baseline_path=baseline_path)
-
-    findings.sort(key=Finding.sort_key)
     if args.sarif:
-        from .flow.sarif import to_sarif
-
         document = json.dumps(to_sarif(findings), indent=2)
         if args.sarif == "-":
             print(document)
@@ -522,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.close()
     threshold = _SEVERITY_RANK[args.fail_on]
     failing = [
-        f for f in findings if _SEVERITY_RANK.get(_severity_of(f.rule), 2) >= threshold
+        f for f in findings if _SEVERITY_RANK.get(severity_of(f.rule), 2) >= threshold
     ]
     return 1 if failing else 0
 

@@ -1,8 +1,12 @@
-"""AST lint engine: parse files, run the rule registry, honour suppressions.
+"""The analysis driver: one rule registry, one parse, one suppression pass.
 
-Stdlib-only (``ast`` + ``re``); no third-party linter frameworks.  The
-engine is deliberately small: rules do the pattern matching, the engine
-owns file discovery, parsing, inline-suppression filtering and ordering.
+Every rule family — lint D/W (:mod:`.rules`), flow T/S (:mod:`.flow`),
+races R (:mod:`.races`), perf P (:mod:`.perf`), memory M (:mod:`.memory`)
+and layers L (:mod:`.layers`) — contributes only its rule list and its
+checks.  :func:`analyze` owns everything they share: file discovery, the
+single parse (E999 for files that fail it), rule selection, inline
+suppression, U001 hygiene and ordering.  :data:`RULES` is the one
+registry every table, SARIF document and ``--rules`` lookup reads.
 
 Suppression syntax
 ==================
@@ -13,18 +17,29 @@ line.  The marker suppresses only the listed rule ids, only on that line.
 
 from __future__ import annotations
 
-import ast
+import dataclasses
+import functools
 import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .findings import Finding
-from .rules import RULES, LintRule
+from .findings import Finding, Rule
+from .flow.core import ModuleInfo, NameIndex, parse_module
+from .flow.engine import FLOW_RULES, check_flow
+from .layers.engine import LAYER_RULES, check_layers
+from .layers.manifest import DEFAULT_MANIFEST
+from .memory.engine import MEMORY_RULES, check_memory
+from .perf.engine import PERF_RULES, check_perf
+from .perf.hotpath import HotPaths, compute_hot_paths, load_profile
+from .races.engine import MONITOR_RULES, RACE_RULES, check_races
+from .rules import LINT_RULES, check_lint
 
 #: Rule id used for files that fail to parse.
 SYNTAX_ERROR_RULE = "E999"
+#: Rule id for suppression hygiene: markers that suppress nothing.
+UNUSED_SUPPRESSION_RULE = "U001"
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_\s,]+)\]")
 
@@ -59,14 +74,10 @@ def suppressed_rules(source: str) -> dict[int, set[str]]:
     return allowed
 
 
-#: Rule id for suppression hygiene: markers that suppress nothing.
-UNUSED_SUPPRESSION_RULE = "U001"
-
-
 class SuppressionTracker:
-    """Marker bookkeeping shared across the lint and flow engines.
+    """Marker bookkeeping for one driver run, shared by every family.
 
-    Engines register each file's markers and report which rules they ran;
+    The driver registers each file's markers and notes which rules ran;
     every filtered finding marks its marker *used*.  Afterwards,
     :meth:`unused_findings` turns the leftovers into U001:
 
@@ -133,72 +144,6 @@ class SuppressionTracker:
         return findings
 
 
-def _select_rules(rule_ids: Iterable[str] | None) -> list[LintRule]:
-    if rule_ids is None:
-        selected = sorted(RULES)
-    else:
-        unknown = sorted(set(rule_ids) - set(RULES))
-        if unknown:
-            raise KeyError(f"unknown lint rule ids: {', '.join(unknown)}")
-        selected = sorted(set(rule_ids))
-    return [RULES[rule_id]() for rule_id in selected]
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: SuppressionTracker | None = None,
-    tree: ast.Module | None = None,
-) -> list[Finding]:
-    """Lint one source string; returns findings sorted by location.
-
-    ``tree`` supplies an already-parsed AST for ``source`` so callers
-    holding a shared parse (the analysis CLI) skip the re-parse.
-    """
-    selected = _select_rules(rule_ids)
-    if tracker is not None:
-        tracker.register_source(path, source)
-        tracker.note_rules(rule.id for rule in selected)
-    try:
-        if tree is None:
-            tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule=SYNTAX_ERROR_RULE,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    allowed = suppressed_rules(source)
-    findings: list[Finding] = []
-    for rule in selected:
-        for finding in rule.check(tree, path):
-            if tracker is not None:
-                if tracker.is_suppressed(finding):
-                    continue
-            elif finding.rule in allowed.get(finding.line, ()):
-                continue
-            findings.append(finding)
-    return sorted(findings, key=Finding.sort_key)
-
-
-def lint_file(
-    path: str | Path,
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: SuppressionTracker | None = None,
-) -> list[Finding]:
-    """Lint one file on disk."""
-    file_path = Path(path)
-    source = file_path.read_text(encoding="utf-8", errors="replace")
-    return lint_source(source, str(file_path), rule_ids=rule_ids, tracker=tracker)
-
-
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     """Yield .py files under ``paths`` in sorted order, skipping junk dirs."""
     for raw in paths:
@@ -216,35 +161,184 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield candidate
 
 
-def lint_paths(
+class Context:
+    """What every family reads: the one parse plus the run's inputs.
+
+    The name index and the hot set are computed on first use and shared,
+    so families that need the same structure build it once.
+    """
+
+    def __init__(
+        self,
+        modules: list[ModuleInfo],
+        profile: str | Path | None,
+        manifest: dict[str, str] | None,
+    ):
+        self.modules = modules
+        self._profile = profile
+        self.manifest = DEFAULT_MANIFEST if manifest is None else manifest
+
+    @functools.cached_property
+    def index(self) -> NameIndex:
+        return NameIndex(self.modules)
+
+    @functools.cached_property
+    def hot_paths(self) -> HotPaths:
+        # a missing profile file reads as "no profile"; a malformed one raises
+        profile = None if self._profile is None else load_profile(self._profile)
+        return compute_hot_paths(self.modules, profile)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Family:
+    """One rule family: its rule list and the check that runs them."""
+
+    rules: tuple[Rule, ...]
+    check: Callable[[Context, frozenset[str]], Iterable[Finding]]
+    #: rules whose ``allow`` markers a runtime monitor consumes — never
+    #: judged for U001 by the static driver
+    unjudged: frozenset[str] = frozenset()
+
+    @property
+    def ids(self) -> frozenset[str]:
+        return frozenset(rule.id for rule in self.rules)
+
+
+#: Every family, in the order their findings are produced.
+FAMILIES: tuple[Family, ...] = (
+    Family(tuple(LINT_RULES), check_lint),
+    Family(FLOW_RULES, check_flow),
+    Family(RACE_RULES, check_races, unjudged=MONITOR_RULES),
+    Family(PERF_RULES, check_perf),
+    Family(MEMORY_RULES, check_memory),
+    Family(LAYER_RULES, check_layers),
+)
+
+#: The driver's own rules: parse failures and suppression hygiene.
+_DRIVER_RULES = (
+    Rule(
+        SYNTAX_ERROR_RULE,
+        "parse",
+        "file fails to parse",
+        "nothing can be checked in unparsable code",
+    ),
+    Rule(
+        UNUSED_SUPPRESSION_RULE,
+        "hygiene",
+        "suppression marker that suppresses nothing",
+        "an allow[...] marker whose rule never fires on its line — or that "
+        "names an unknown rule id — documents a hazard that no longer "
+        "exists; stale rationales are misinformation, so the marker must "
+        "be deleted when the finding goes away",
+        # hygiene, not a live hazard — still fails the repo gate
+        # (--fail-on warning) but is distinguishable for SARIF consumers
+        severity="warning",
+    ),
+)
+
+
+def _registry() -> dict[str, Rule]:
+    registry: dict[str, Rule] = {}
+    for rule in [*_DRIVER_RULES, *(r for f in FAMILIES for r in f.rules)]:
+        if rule.id in registry:
+            raise ValueError(f"duplicate rule id {rule.id!r}")
+        registry[rule.id] = rule
+    return dict(sorted(registry.items()))
+
+
+#: The one rule registry: id -> :class:`Rule`, sorted by id.
+RULES: dict[str, Rule] = _registry()
+
+
+def severity_of(rule_id: str) -> str:
+    """The registered severity for ``rule_id`` (unknown ids rank as error)."""
+    rule = RULES.get(rule_id)
+    return "error" if rule is None else rule.severity
+
+
+def analyze(
     paths: Iterable[str | Path],
     *,
     rule_ids: Iterable[str] | None = None,
     tracker: SuppressionTracker | None = None,
-    parsed: "dict[str, object] | None" = None,
+    profile: str | Path | None = None,
+    manifest: dict[str, str] | None = None,
 ) -> list[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by location.
+    """Run the selected rules over every Python file under ``paths``.
 
-    ``parsed`` maps path strings to already-parsed modules (any object
-    with ``source`` and ``tree`` attributes, e.g.
-    :class:`~repro.analysis.flow.core.ModuleInfo`) so each file is
-    parsed once across every rule family.  Files absent from the map —
-    notably E999 files ``load_modules`` skips — are read and parsed
-    here as before.
+    ``rule_ids`` narrows the run (default: every registered rule; unknown
+    ids raise ``KeyError``).  U001 findings appear only when U001 is
+    selected; a caller's ``tracker`` keeps the marker bookkeeping for its
+    own :meth:`~SuppressionTracker.unused_findings`.
+    ``profile`` is a ``BENCH_profile.json`` path weighting the hot set (a
+    missing file just disables weighting);
+    ``manifest`` substitutes a toy layer map for the default one.
     """
+    sources = [
+        (str(path), path.read_text(encoding="utf-8", errors="replace"))
+        for path in iter_python_files(paths)
+    ]
+    return _run(sources, rule_ids, tracker, profile, manifest)
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    *,
+    rule_ids: Iterable[str] | None = None,
+    tracker: SuppressionTracker | None = None,
+) -> list[Finding]:
+    """Run the lint rules (default) or ``rule_ids`` over one source string."""
+    if rule_ids is None:
+        rule_ids = [rule.id for rule in LINT_RULES]
+    return _run([(path, source)], rule_ids, tracker, None, None)
+
+
+def _run(
+    sources: list[tuple[str, str]],
+    rule_ids: Iterable[str] | None,
+    tracker: SuppressionTracker | None,
+    profile: str | Path | None,
+    manifest: dict[str, str] | None,
+) -> list[Finding]:
+    if rule_ids is None:
+        selected = frozenset(RULES)
+    else:
+        selected = frozenset(rule_ids)
+        unknown = sorted(selected - RULES.keys())
+        if unknown:
+            raise KeyError(f"unknown rule ids: {', '.join(unknown)}")
+    if tracker is None:
+        tracker = SuppressionTracker()
+
     findings: list[Finding] = []
-    for file_path in iter_python_files(paths):
-        entry = parsed.get(str(file_path)) if parsed else None
-        if entry is not None:
-            findings.extend(
-                lint_source(
-                    entry.source,  # type: ignore[attr-defined]
-                    str(file_path),
-                    rule_ids=rule_ids,
-                    tracker=tracker,
-                    tree=entry.tree,  # type: ignore[attr-defined]
+    modules: list[ModuleInfo] = []
+    for path, source in sources:
+        tracker.register_source(path, source)
+        try:
+            modules.append(parse_module(path, source))
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    rule=SYNTAX_ERROR_RULE,
+                    message=f"syntax error: {exc.msg}",
                 )
             )
-        else:
-            findings.extend(lint_file(file_path, rule_ids=rule_ids, tracker=tracker))
+
+    ctx = Context(modules, profile, manifest)
+    for family in FAMILIES:
+        chosen = selected & family.ids
+        if not chosen:
+            continue
+        tracker.note_rules(chosen - family.unjudged)
+        findings.extend(
+            finding
+            for finding in family.check(ctx, chosen)
+            if not tracker.is_suppressed(finding)
+        )
+    if UNUSED_SUPPRESSION_RULE in selected:
+        findings.extend(tracker.unused_findings(RULES))
     return sorted(findings, key=Finding.sort_key)

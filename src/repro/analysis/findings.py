@@ -1,4 +1,5 @@
-"""Finding: one lint diagnostic, file/line/column precise."""
+"""The finding schema: one :class:`Rule` record per registered rule and one
+:class:`Finding` per diagnostic, file/line/column precise."""
 
 from __future__ import annotations
 
@@ -30,3 +31,17 @@ class Finding:
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Rule:
+    """Registry metadata for one rule of any family (checks live elsewhere)."""
+
+    id: str
+    #: display family in the README rule table (``lint``, ``taint``, ...)
+    family: str
+    summary: str
+    rationale: str
+    #: ``error`` | ``warning`` | ``note`` — drives the SARIF level and the
+    #: ``--fail-on`` exit-code contract.
+    severity: str = "error"

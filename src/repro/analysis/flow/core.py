@@ -111,11 +111,23 @@ class SinkEvent:
     via_summary: bool = False
 
 
+def parse_module(path: str, source: str) -> ModuleInfo:
+    """Parse one source into :class:`ModuleInfo`; raises ``SyntaxError``."""
+    tree = ast.parse(source, filename=path)
+    return ModuleInfo(
+        path=path,
+        tree=tree,
+        trust=trust_for_module(tree),
+        functions=_collect_functions(tree),
+        source=source,
+    )
+
+
 def load_modules(paths: Iterable[str | Path]) -> list[ModuleInfo]:
     """Parse every Python file under ``paths`` into :class:`ModuleInfo`.
 
-    Files that fail to parse are skipped here — the AST lint already
-    reports them as E999.
+    Files that fail to parse are skipped here — the driver reports them
+    as E999.
     """
     from ..engine import iter_python_files
 
@@ -123,18 +135,9 @@ def load_modules(paths: Iterable[str | Path]) -> list[ModuleInfo]:
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8", errors="replace")
         try:
-            tree = ast.parse(source, filename=str(file_path))
+            modules.append(parse_module(str(file_path), source))
         except SyntaxError:
             continue
-        modules.append(
-            ModuleInfo(
-                path=str(file_path),
-                tree=tree,
-                trust=trust_for_module(tree),
-                functions=_collect_functions(tree),
-                source=source,
-            )
-        )
     return modules
 
 

@@ -16,7 +16,7 @@ See DESIGN.md ("Layering model") for the mapping to the paper's
 firewall-module architecture.
 """
 
-from .engine import LAYER_RULES, LayerRule, analyze_layers, layer_rule_table
+from .engine import LAYER_RULES, check_layers
 from .manifest import (
     DECL_NAME,
     DEFAULT_MANIFEST,
@@ -36,11 +36,9 @@ __all__ = [
     "LAYERS",
     "LAYER_RULES",
     "LayerReport",
-    "LayerRule",
-    "analyze_layers",
+    "check_layers",
     "declared_layer",
     "layer_of",
-    "layer_rule_table",
     "pure_prefixes",
     "verify_import_isolation",
 ]

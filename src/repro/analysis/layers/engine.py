@@ -1,25 +1,17 @@
-"""Layer-rule registry and the transport-purity analysis entry point.
+"""The layers family: transport-purity layering rules L001–L006.
 
-:func:`analyze_layers` is the layering sibling of the other engines: it
-loads the modules once (or reuses a shared parse from the CLI), resolves
-each module's layer from the import-layering manifest, runs the static
-L-rules, and filters through the same inline-suppression syntax
-(``# repro: allow[L001]``) and optional
-:class:`~repro.analysis.engine.SuppressionTracker` the other engines
-use.  The dynamic witness — L006, importing the declared pure core with
-the platform layers blocked — lives in :mod:`.runtime` and is wired in
-by the CLI's ``--layers``.
+:func:`check_layers` resolves each module's layer from the
+import-layering manifest and runs the static L-rules.  L006 — importing
+the declared pure core in a fresh interpreter with the platform layers
+blocked (:mod:`.runtime`) — runs whenever it is selected; it checks the
+*installed* ``repro`` package whatever paths are analysed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from ..findings import Finding
-from ..flow.core import ModuleInfo, load_modules
-from .manifest import DEFAULT_MANIFEST
+from ..findings import Finding, Rule
 from .rules import (
     check_l001,
     check_l002,
@@ -30,127 +22,80 @@ from .rules import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..engine import Context
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LayerRule:
-    """Registry metadata for one layering rule (checks live in .rules)."""
-
-    id: str
-    summary: str
-    rationale: str
-    family: str  # "layering" (static) or "layering-runtime"
-    severity: str = "error"
-
-
-LAYER_RULES: dict[str, LayerRule] = {
-    rule.id: rule
-    for rule in (
-        LayerRule(
-            "L001",
-            "pure-core module imports a forbidden layer (simulator, "
-            "observability, asyncio, sockets, clocks, OS entropy)",
-            "the paper's guard is a separable module; one upward import "
-            "couples every decision to the simulator and kills the "
-            "real-socket port (ROADMAP item 4) — inject capabilities "
-            "through repro.guard.core.ports instead",
-            "layering",
-        ),
-        LayerRule(
-            "L002",
-            "pure-core function reaches a transport/scheduling API "
-            "through the call graph",
-            "even without an import, calling schedule()/send()/submit() "
-            "on a duck-typed argument makes the decision logic drive the "
-            "transport; pure functions return decisions and let the "
-            "adapter act on them",
-            "layering",
-        ),
-        LayerRule(
-            "L003",
-            "purity escape in the core: wall clock, OS entropy, blocking "
-            "I/O or global mutable module state",
-            "hidden inputs make replay and the sanitizer's bit-identical "
-            "traces impossible; time and randomness arrive through the "
-            "injected Clock/Rng seams, state lives in instances the "
-            "adapter owns",
-            "layering",
-        ),
-        LayerRule(
-            "L004",
-            "admission/verification decision logic living in an adapter "
-            "instead of behind the core seam",
-            "an adapter computing hash digests is re-growing decision "
-            "logic outside the audited core — the exact drift the "
-            "guard-core extraction removed; add the decision to "
-            "repro.guard.core and call through the seam",
-            "layering",
-        ),
-        LayerRule(
-            "L005",
-            "layer-manifest drift: undeclared module or stale "
-            "declaration",
-            "the manifest and the per-package __layer__ declarations are "
-            "two views of one architecture; when they disagree the "
-            "layering analysis is checking a world that no longer "
-            "exists",
-            "layering",
-        ),
-        LayerRule(
-            "L006",
-            "pure core fails to import with the platform layers blocked "
-            "(runtime import-isolation witness)",
-            "the dynamic proof of L001's static claim: a fresh "
-            "interpreter imports the declared pure core with "
-            "netsim/obs/asyncio/sockets blocked by a meta-path finder, "
-            "so no transitive platform dependency can hide behind a "
-            "re-export or a lazy import",
-            "layering-runtime",
-        ),
-    )
-}
+LAYER_RULES = (
+    Rule(
+        "L001",
+        "layering",
+        "pure-core module imports a forbidden layer (simulator, "
+        "observability, asyncio, sockets, clocks, OS entropy)",
+        "the paper's guard is a separable module; one upward import "
+        "couples every decision to the simulator and kills the "
+        "real-socket port (ROADMAP item 4) — inject capabilities "
+        "through repro.guard.core.ports instead",
+    ),
+    Rule(
+        "L002",
+        "layering",
+        "pure-core function reaches a transport/scheduling API "
+        "through the call graph",
+        "even without an import, calling schedule()/send()/submit() "
+        "on a duck-typed argument makes the decision logic drive the "
+        "transport; pure functions return decisions and let the "
+        "adapter act on them",
+    ),
+    Rule(
+        "L003",
+        "layering",
+        "purity escape in the core: wall clock, OS entropy, blocking "
+        "I/O or global mutable module state",
+        "hidden inputs make replay and the sanitizer's bit-identical "
+        "traces impossible; time and randomness arrive through the "
+        "injected Clock/Rng seams, state lives in instances the "
+        "adapter owns",
+    ),
+    Rule(
+        "L004",
+        "layering",
+        "admission/verification decision logic living in an adapter "
+        "instead of behind the core seam",
+        "an adapter computing hash digests is re-growing decision "
+        "logic outside the audited core — the exact drift the "
+        "guard-core extraction removed; add the decision to "
+        "repro.guard.core and call through the seam",
+    ),
+    Rule(
+        "L005",
+        "layering",
+        "layer-manifest drift: undeclared module or stale "
+        "declaration",
+        "the manifest and the per-package __layer__ declarations are "
+        "two views of one architecture; when they disagree the "
+        "layering analysis is checking a world that no longer "
+        "exists",
+    ),
+    Rule(
+        "L006",
+        "layering-runtime",
+        "pure core fails to import with the platform layers blocked "
+        "(runtime import-isolation witness)",
+        "the dynamic proof of L001's static claim: a fresh "
+        "interpreter imports the declared pure core with "
+        "netsim/obs/asyncio/sockets blocked by a meta-path finder, "
+        "so no transitive platform dependency can hide behind a "
+        "re-export or a lazy import",
+    ),
+)
 
 
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(LAYER_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(LAYER_RULES))
-    if unknown:
-        raise KeyError(f"unknown layer rule ids: {', '.join(unknown)}")
-    return selected
-
-
-def analyze_layers(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    modules: list[ModuleInfo] | None = None,
-    manifest: dict[str, str] | None = None,
-    runtime: bool = False,
-) -> list[Finding]:
-    """Run the selected layering rules over every file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set (the CLI parses each
-    file exactly once across all families); ``manifest`` substitutes a
-    toy prefix map for tests.  ``runtime=False`` (the default) keeps the
-    engine static: L006's import-isolation witness only runs when the
-    caller opts in, because it imports the *installed* ``repro`` pure
-    core — meaningless when analysing a toy fixture tree.
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids)
-    layer_manifest = DEFAULT_MANIFEST if manifest is None else manifest
-    if modules is None:
-        modules = load_modules(paths)
-    layered = classify_modules(modules, layer_manifest)
-
+def check_layers(ctx: "Context", selected: frozenset[str]) -> list[Finding]:
+    """The selected L-rules against the run's layer manifest."""
+    layered = classify_modules(ctx.modules, ctx.manifest)
     findings: list[Finding] = []
     if "L001" in selected:
-        findings.extend(check_l001(layered, layer_manifest))
+        findings.extend(check_l001(layered, ctx.manifest))
     if "L002" in selected:
         findings.extend(check_l002(layered))
     if "L003" in selected:
@@ -158,34 +103,9 @@ def analyze_layers(
     if "L004" in selected:
         findings.extend(check_l004(layered))
     if "L005" in selected:
-        findings.extend(check_l005(layered, layer_manifest))
-    if runtime and "L006" in selected:
+        findings.extend(check_l005(layered, ctx.manifest))
+    if "L006" in selected:
         from .runtime import verify_import_isolation
 
-        findings.extend(verify_import_isolation(manifest=layer_manifest).findings)
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def layer_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(LAYER_RULES):
-        rule = LAYER_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+        findings.extend(verify_import_isolation(manifest=ctx.manifest).findings)
+    return findings

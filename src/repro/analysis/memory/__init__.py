@@ -24,7 +24,7 @@ from .declarations import (
     find_declaration,
     parse_declaration,
 )
-from .engine import MEMORY_RULES, MemoryRule, analyze_memory, memory_rule_table
+from .engine import MEMORY_RULES, check_memory
 from .runtime import (
     HighWaterMonitor,
     MemoryReport,
@@ -41,9 +41,7 @@ __all__ = [
     "find_declaration",
     "parse_declaration",
     "MEMORY_RULES",
-    "MemoryRule",
-    "analyze_memory",
-    "memory_rule_table",
+    "check_memory",
     "HighWaterMonitor",
     "MemoryReport",
     "discover_bounded_classes",

@@ -1,175 +1,91 @@
-"""Memory-rule registry and the state-exhaustion analysis entry point.
+"""The memory family: state-exhaustion rules M001–M005 (M006 is runtime).
 
-:func:`analyze_memory` is the resource sibling of
-:func:`repro.analysis.perf.engine.analyze_perf`: it loads the modules
-once, infers the hot set (so M001/M003 know which functions run per
-attacker packet and which sweeps a scheduler actually reaches), reads
-every module's ``__state_bounds__`` declaration, runs the M-rules, and
-filters through the same inline-suppression syntax (``# repro:
-allow[M001]``) and optional
-:class:`~repro.analysis.engine.SuppressionTracker` the other engines
-use.  Accepted findings live in ``scripts/memory_baseline.json`` and
-self-shrink through U001 exactly like the flow/perf baselines.
+:func:`check_memory` reads every module's ``__state_bounds__``
+declaration against the hot set (so M001/M003 know which functions run
+per attacker packet and which sweeps a scheduler actually reaches) and
+runs the selected M-rules.  M006 is the runtime high-water witness
+(``python -m repro <cmd> --memory``); it is registered here for the rule
+table, SARIF and ``--rules``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from ..findings import Finding
-from ..flow.core import ModuleInfo, load_modules
-from ..perf.hotpath import PerfProfile, compute_hot_paths, load_profile
+from ..findings import Finding, Rule
 from .rules import MEMORY_CHECKS, build_view
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..engine import Context
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class MemoryRule:
-    """Registry metadata for one memory rule (the checks live in .rules)."""
-
-    id: str
-    summary: str
-    rationale: str
-    family: str  # "memory" (static) or "memory-runtime"
-    severity: str = "error"
-
-
-MEMORY_RULES: dict[str, MemoryRule] = {
-    rule.id: rule
-    for rule in (
-        MemoryRule(
-            "M001",
-            "attacker-keyed collection written on an attacker-driven path "
-            "with no declared bound",
-            "a spoofed flood chooses the keys, so an undeclared table is a "
-            "one-line memory DoS; declare it in __state_bounds__ with an "
-            "enforced bound (the paper's §III soft state is bounded by "
-            "construction)",
-            "memory",
-        ),
-        MemoryRule(
-            "M002",
-            "declared cap/lru bound with an insert site that performs no "
-            "cap check or eviction",
-            "a bound that is not enforced wherever the collection grows is "
-            "documentation, not a defense; every insert site must carry a "
-            "len() check or an eviction on the same table",
-            "memory",
-        ),
-        MemoryRule(
-            "M003",
-            "sweep-declared soft state with no eviction reachable from a "
-            "scheduled callback",
-            "TIME_WAIT entries, pending challenges and cookie generations "
-            "expire only if a sweep actually runs; an unreachable sweep "
-            "means entries inserted under flood live forever",
-            "memory",
-        ),
-        MemoryRule(
-            "M004",
-            "early return/raise between an insert and its cap enforcement",
-            "an exception or early-return path that skips the cap lets an "
-            "attacker grow the table past its bound by triggering that "
-            "path; evict-then-insert is bypass-proof",
-            "memory",
-        ),
-        MemoryRule(
-            "M005",
-            "unbudgeted self-reschedule that also grows a collection",
-            "a callback that unconditionally reschedules itself while "
-            "inserting accumulates state every firing with no budget; "
-            "sweeps must be evict-only and retries must be bounded",
-            "memory",
-        ),
-        MemoryRule(
-            "M006",
-            "observed collection size exceeded its declared bound "
-            "(runtime high-water mark)",
-            "the dynamic witness for the static claim: the monitor samples "
-            "declared collections under flood and fails if any high-water "
-            "mark crosses the declared capacity",
-            "memory-runtime",
-        ),
-    )
-}
+MEMORY_RULES = (
+    Rule(
+        "M001",
+        "memory",
+        "attacker-keyed collection written on an attacker-driven path "
+        "with no declared bound",
+        "a spoofed flood chooses the keys, so an undeclared table is a "
+        "one-line memory DoS; declare it in __state_bounds__ with an "
+        "enforced bound (the paper's §III soft state is bounded by "
+        "construction)",
+    ),
+    Rule(
+        "M002",
+        "memory",
+        "declared cap/lru bound with an insert site that performs no "
+        "cap check or eviction",
+        "a bound that is not enforced wherever the collection grows is "
+        "documentation, not a defense; every insert site must carry a "
+        "len() check or an eviction on the same table",
+    ),
+    Rule(
+        "M003",
+        "memory",
+        "sweep-declared soft state with no eviction reachable from a "
+        "scheduled callback",
+        "TIME_WAIT entries, pending challenges and cookie generations "
+        "expire only if a sweep actually runs; an unreachable sweep "
+        "means entries inserted under flood live forever",
+    ),
+    Rule(
+        "M004",
+        "memory",
+        "early return/raise between an insert and its cap enforcement",
+        "an exception or early-return path that skips the cap lets an "
+        "attacker grow the table past its bound by triggering that "
+        "path; evict-then-insert is bypass-proof",
+    ),
+    Rule(
+        "M005",
+        "memory",
+        "unbudgeted self-reschedule that also grows a collection",
+        "a callback that unconditionally reschedules itself while "
+        "inserting accumulates state every firing with no budget; "
+        "sweeps must be evict-only and retries must be bounded",
+    ),
+    Rule(
+        "M006",
+        "memory-runtime",
+        "observed collection size exceeded its declared bound "
+        "(runtime high-water mark)",
+        "the dynamic witness for the static claim: the monitor samples "
+        "declared collections under flood and fails if any high-water "
+        "mark crosses the declared capacity",
+    ),
+)
 
 
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(MEMORY_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(MEMORY_RULES))
-    if unknown:
-        raise KeyError(f"unknown memory rule ids: {', '.join(unknown)}")
-    return selected
-
-
-def analyze_memory(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    profile: str | Path | PerfProfile | None = None,
-    modules: list[ModuleInfo] | None = None,
-) -> list[Finding]:
-    """Run the selected memory rules over every Python file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set (one parse per file
-    across all rule families).
-
-    ``profile`` is the same ``BENCH_profile.json`` the perf engine takes —
-    profiled handler roots widen the hot set M001/M003 consult; the static
-    schedule-site roots alone are enough for the repo gate.
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids)
-    if modules is None:
-        modules = load_modules(paths)
-    parsed_profile: PerfProfile | None
-    if isinstance(profile, PerfProfile) or profile is None:
-        parsed_profile = profile
-    else:
-        parsed_profile = load_profile(profile)
-    hot_paths = compute_hot_paths(modules, parsed_profile)
-
+def check_memory(ctx: "Context", selected: frozenset[str]) -> list[Finding]:
+    """The selected M-rules over every module's declarations."""
     hot_by_path: dict[str, set[str]] = {}
-    for path, qualname in hot_paths.functions:
+    for path, qualname in ctx.hot_paths.functions:
         hot_by_path.setdefault(path, set()).add(qualname)
 
     findings: list[Finding] = []
-    for module in modules:
+    for module in ctx.modules:
         view = build_view(module, frozenset(hot_by_path.get(module.path, ())))
         for rule_id, check in MEMORY_CHECKS.items():
             if rule_id in selected:
                 findings.extend(check(view))
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def memory_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(MEMORY_RULES):
-        rule = MEMORY_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+    return findings

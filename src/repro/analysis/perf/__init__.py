@@ -12,7 +12,7 @@ See DESIGN.md ("Hot-path cost model") for the hot-path definition and the
 rule-to-optimization map.
 """
 
-from .engine import PERF_RULES, PerfRule, analyze_perf, perf_rule_table
+from .engine import PERF_RULES, check_perf
 from .hotpath import (
     HotFunction,
     HotPaths,
@@ -24,9 +24,7 @@ from .hotpath import (
 
 __all__ = [
     "PERF_RULES",
-    "PerfRule",
-    "analyze_perf",
-    "perf_rule_table",
+    "check_perf",
     "HotFunction",
     "HotPaths",
     "PerfProfile",

@@ -5,7 +5,7 @@ Each check receives one hot function (see :mod:`.hotpath`) plus the shared
 rule, not a correctness rule: a finding means "this allocates / encodes /
 scans once per simulated event", and the fix-or-accept decision is
 recorded either in code (the optimization), inline (``# repro:
-allow[P00x] why``), or in ``scripts/perf_baseline.json`` (accepted debt —
+allow[P00x] why``), or in ``scripts/analysis_baseline.json`` (accepted debt —
 typically the calendar-queue candidates ROADMAP item 1 will absorb).
 """
 

@@ -13,7 +13,7 @@ DESIGN.md ("Simultaneity semantics"):
 """
 
 from .declarations import SharedStateDecl, declarations_for_module
-from .engine import RACE_RULES, analyze_races, race_rule_table
+from .engine import RACE_RULES, check_races
 from .explore import ExploreReport, explore
 from .runtime import InterferenceMonitor, RaceReport, run_monitored
 
@@ -23,9 +23,8 @@ __all__ = [
     "InterferenceMonitor",
     "RaceReport",
     "SharedStateDecl",
-    "analyze_races",
+    "check_races",
     "declarations_for_module",
     "explore",
-    "race_rule_table",
     "run_monitored",
 ]

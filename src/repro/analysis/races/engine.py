@@ -1,143 +1,72 @@
-"""Race-rule registry and the static analysis entry point.
+"""The races family: the static simultaneity rules R001/R002.
 
-:func:`analyze_races` is the simultaneity sibling of
-:func:`repro.analysis.flow.engine.analyze_paths`: it loads the modules
-once, computes effect sets for every scheduled callback, and reports the
-static R-rules (R001/R002), filtered through the same inline-suppression
-syntax (``# repro: allow[R001]``) and optionally a
-:class:`repro.analysis.engine.SuppressionTracker` for U001.
+:func:`check_races` computes effect sets for every scheduled callback and
+reports write overlaps (R001) and undeclared shared state (R002).
 
 R003/R004 are *runtime* rules: they are registered here so the SARIF
 export, the README rule table, and ``--rules`` selection know them, but
 their findings come from the dynamic interference monitor
-(:mod:`.runtime`, ``python -m repro <cmd> --races``), not from this
-function.
+(:mod:`.runtime`, ``python -m repro <cmd> --races``), which also consumes
+their ``allow`` markers — so the static driver never judges those.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from ..findings import Finding
-from ..flow.core import ModuleInfo, NameIndex, load_modules
+from ..findings import Finding, Rule
 from .effects import check_declarations, check_write_overlaps, collect_schedule_sites
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..engine import Context
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RaceRule:
-    """Registry metadata for one race rule (the checks live elsewhere)."""
+RACE_RULES = (
+    Rule(
+        "R001",
+        "race-static",
+        "same-instant handlers have statically overlapping write sets "
+        "over declared shared state",
+        "two events at equal virtual time run in heap insertion order; "
+        "results that depend on that order are scheduling artifacts, "
+        "not properties of the modelled system",
+    ),
+    Rule(
+        "R002",
+        "race-static",
+        "scheduler-visible shared state accessed without a "
+        "__shared_state__ declaration",
+        "the race rules can only watch cells that are declared; an "
+        "undeclared table is an unwatched table",
+    ),
+    Rule(
+        "R003",
+        "race-runtime",
+        "write/write conflict observed inside a tie group at runtime",
+        "both orders of the colliding writes were schedulable; the run's "
+        "answer picked one silently",
+    ),
+    Rule(
+        "R004",
+        "race-runtime",
+        "read/write conflict observed inside a tie group at runtime",
+        "a same-instant reader saw either the pre- or post-write value "
+        "depending on insertion order alone",
+    ),
+)
 
-    id: str
-    summary: str
-    rationale: str
-    family: str  # "race-static" | "race-runtime"
-
-
-RACE_RULES: dict[str, RaceRule] = {
-    rule.id: rule
-    for rule in (
-        RaceRule(
-            "R001",
-            "same-instant handlers have statically overlapping write sets "
-            "over declared shared state",
-            "two events at equal virtual time run in heap insertion order; "
-            "results that depend on that order are scheduling artifacts, "
-            "not properties of the modelled system",
-            "race-static",
-        ),
-        RaceRule(
-            "R002",
-            "scheduler-visible shared state accessed without a "
-            "__shared_state__ declaration",
-            "the race rules can only watch cells that are declared; an "
-            "undeclared table is an unwatched table",
-            "race-static",
-        ),
-        RaceRule(
-            "R003",
-            "write/write conflict observed inside a tie group at runtime",
-            "both orders of the colliding writes were schedulable; the run's "
-            "answer picked one silently",
-            "race-runtime",
-        ),
-        RaceRule(
-            "R004",
-            "read/write conflict observed inside a tie group at runtime",
-            "a same-instant reader saw either the pre- or post-write value "
-            "depending on insertion order alone",
-            "race-runtime",
-        ),
-    )
-}
-
-_STATIC_RULES = frozenset(
-    r for r, m in RACE_RULES.items() if m.family == "race-static"
+#: Rules whose ``allow`` markers the runtime interference monitor consumes.
+MONITOR_RULES = frozenset(
+    rule.id for rule in RACE_RULES if rule.family == "race-runtime"
 )
 
 
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(RACE_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(RACE_RULES))
-    if unknown:
-        raise KeyError(f"unknown race rule ids: {', '.join(unknown)}")
-    return selected
-
-
-def analyze_races(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    modules: list[ModuleInfo] | None = None,
-) -> list[Finding]:
-    """Run the static race rules over every Python file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set (one parse per file
-    across all rule families).
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids) & _STATIC_RULES
-    if modules is None:
-        modules = load_modules(paths)
+def check_races(ctx: "Context", selected: frozenset[str]) -> list[Finding]:
+    """The selected static race rules over the shared parse."""
     findings: list[Finding] = []
-
     if "R001" in selected:
-        index = NameIndex(modules)
-        sites, commutative = collect_schedule_sites(modules, index)
+        sites, commutative = collect_schedule_sites(ctx.modules, ctx.index)
         findings.extend(check_write_overlaps(sites, commutative))
     if "R002" in selected:
-        findings.extend(check_declarations(modules))
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def race_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(RACE_RULES):
-        rule = RACE_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+        findings.extend(check_declarations(ctx.modules))
+    return findings

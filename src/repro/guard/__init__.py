@@ -9,7 +9,7 @@ RFC 7873 computations, rate-limit accounting, admission policy and the
 LRS hold/stamp/probe state machine — lives in the transport-free
 :mod:`repro.guard.core` subpackage; the modules here are the simulator
 adapters around it.  The layering analysis
-(``python -m repro.analysis --layers``) enforces the split.
+(the L-rules of ``python -m repro.analysis``) enforces the split.
 """
 
 from . import core

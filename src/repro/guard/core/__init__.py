@@ -8,7 +8,7 @@ everything here is a function of its arguments plus the injected
 imports of the simulator (``repro.netsim``), the observability layer
 (``repro.obs``), asyncio or sockets.
 
-The layering analysis (``python -m repro.analysis --layers``) enforces
+The layering analysis (the L-rules of ``python -m repro.analysis``) enforces
 this permanently: L001/L002/L003 keep platform dependencies and purity
 escapes out statically, and L006 re-imports this package at analysis
 time with the platform layers *blocked* to prove there is no transitive

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, lint_source, suppressed_rules
+from repro.analysis import analyze, lint_source, suppressed_rules
 from repro.analysis.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -68,18 +68,18 @@ class TestEngine:
         (tmp_path / "pkg" / "bad.py").write_text("import random\n")
         (tmp_path / "pkg" / "__pycache__").mkdir()
         (tmp_path / "pkg" / "__pycache__" / "junk.py").write_text("import random\n")
-        found = lint_paths([tmp_path])
+        found = analyze([tmp_path])
         assert [Path(f.path).name for f in found] == ["bad.py"]
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
-            lint_paths(["/no/such/path/anywhere"])
+            analyze(["/no/such/path/anywhere"])
 
 
 class TestRepoIsClean:
-    def test_src_passes_all_rules(self):
+    def test_src_passes_all_rules(self, repo_run):
         """The repo's central invariant: the simulation tree lints clean."""
-        assert lint_paths([REPO_ROOT / "src"]) == []
+        assert repo_run.findings == []
 
 
 class TestCli:
@@ -106,7 +106,7 @@ class TestCli:
         assert payload["findings"][0]["line"] == 1
 
     def test_list_rules(self, capsys):
-        assert cli_main(["--list-rules"]) == 0
+        assert cli_main(["--rules-md"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("D001", "D002", "D003", "D004", "D005", "W001"):
             assert rule_id in out

@@ -4,7 +4,8 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.flow.engine import analyze_paths
+from repro.analysis.engine import analyze
+from repro.analysis.flow.engine import FLOW_RULES
 from repro.analysis.flow.fsm import (
     check_conformance,
     check_isn_paths,
@@ -18,6 +19,7 @@ from repro.analysis.flow.fsm_spec import FsmSpec, Transition
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 TCP_PATH = REPO_SRC / "repro" / "netsim" / "tcp.py"
+FLOW_IDS = [rule.id for rule in FLOW_RULES]
 
 TOY_SOURCE = """
 import enum
@@ -221,7 +223,7 @@ class TestTcpAcceptanceMutations:
         return target
 
     def test_pristine_tcp_is_clean(self):
-        assert analyze_paths([TCP_PATH]) == []
+        assert analyze([TCP_PATH], rule_ids=FLOW_IDS) == []
 
     def test_deleting_syn_cookie_validation_is_detected(self, tmp_path):
         self.mutate(
@@ -229,7 +231,7 @@ class TestTcpAcceptanceMutations:
             "if segment.ack == (isn + 1) & 0xFFFFFFFF:",
             "if True:",
         )
-        rules = {f.rule for f in analyze_paths([tmp_path])}
+        rules = {f.rule for f in analyze([tmp_path], rule_ids=FLOW_IDS)}
         # the stateless-path ISN edge is unverified (S005), the model walk
         # finds handshake paths with no verified edge (S004), and the
         # cookie region now feeds connections unvalidated (S007)
@@ -242,5 +244,5 @@ class TestTcpAcceptanceMutations:
             "segment.ack == (self.iss + 1) & 0xFFFFFFFF:",
             "if segment.has(TcpFlags.ACK):",
         )
-        rules = {f.rule for f in analyze_paths([tmp_path])}
+        rules = {f.rule for f in analyze([tmp_path], rule_ids=FLOW_IDS)}
         assert {"S004", "S005"} <= rules

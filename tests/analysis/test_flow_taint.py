@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import SuppressionTracker
-from repro.analysis.flow.engine import analyze_paths
+from repro.analysis.engine import SuppressionTracker, analyze
+from repro.analysis.flow.engine import FLOW_RULES
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+FLOW_IDS = [rule.id for rule in FLOW_RULES]
 
 
 def write(tmp_path: Path, name: str, source: str, prelude: str = "") -> Path:
@@ -40,7 +41,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        findings = analyze_paths([tmp_path])
+        findings = analyze([tmp_path], rule_ids=FLOW_IDS)
         assert [f.rule for f in findings] == ["T001"]
         assert "data-dependent" in findings[0].message
 
@@ -56,7 +57,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        assert analyze_paths([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=FLOW_IDS) == []
 
     def test_early_return_guard_idiom(self, tmp_path):
         write(
@@ -71,7 +72,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        assert analyze_paths([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=FLOW_IDS) == []
 
     def test_control_dependence_is_tainted(self, tmp_path):
         write(
@@ -87,7 +88,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        findings = analyze_paths([tmp_path])
+        findings = analyze([tmp_path], rule_ids=FLOW_IDS)
         assert [f.rule for f in findings] == ["T001"]
         assert "control-dependent" in findings[0].message
 
@@ -114,7 +115,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        findings = analyze_paths([tmp_path])
+        findings = analyze([tmp_path], rule_ids=FLOW_IDS)
         assert [f.rule for f in findings] == ["T001"]
         assert "via call summary" in findings[0].message
         assert findings[0].path.endswith("entry.py")
@@ -130,7 +131,7 @@ class TestT001:
             """,
             prelude=TRUST,
         )
-        assert [f.rule for f in analyze_paths([tmp_path])] == ["T001"]
+        assert [f.rule for f in analyze([tmp_path], rule_ids=FLOW_IDS)] == ["T001"]
 
     def test_inline_suppression_filters_and_is_marked_used(self, tmp_path):
         write(
@@ -144,7 +145,7 @@ class TestT001:
             prelude=TRUST,
         )
         tracker = SuppressionTracker()
-        assert analyze_paths([tmp_path], tracker=tracker) == []
+        assert analyze([tmp_path], rule_ids=FLOW_IDS, tracker=tracker) == []
         assert tracker.unused_findings({"T001"}) == []
 
 
@@ -159,7 +160,7 @@ class TestT002:
                     print(self._current_key)
             """,
         )
-        findings = analyze_paths([tmp_path])
+        findings = analyze([tmp_path], rule_ids=FLOW_IDS)
         assert [f.rule for f in findings] == ["T002"]
 
     def test_declassified_digest_is_clean(self, tmp_path):
@@ -177,7 +178,7 @@ class TestT002:
                     print(self.cookie(ip))
             """,
         )
-        assert analyze_paths([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=FLOW_IDS) == []
 
     def test_secret_in_repr_fires(self, tmp_path):
         write(
@@ -189,14 +190,14 @@ class TestT002:
                     return "Factory(%r)" % (self._current_key,)
             """,
         )
-        assert [f.rule for f in analyze_paths([tmp_path])] == ["T002"]
+        assert [f.rule for f in analyze([tmp_path], rule_ids=FLOW_IDS)] == ["T002"]
 
 
 class TestAcceptanceMutations:
     """The seeded-mutation proof: deleting the verification is detected."""
 
-    def test_repo_src_is_clean(self):
-        assert analyze_paths([REPO_SRC]) == []
+    def test_repo_src_is_clean(self, repo_run):
+        assert repo_run.findings_of(FLOW_IDS) == []
 
     def test_removing_cookie_verify_fires_t001(self, tmp_path):
         original = (REPO_SRC / "repro" / "guard" / "pipeline.py").read_text(
@@ -207,7 +208,7 @@ class TestAcceptanceMutations:
         )
         assert mutated != original
         write(tmp_path, "pipeline.py", mutated)
-        findings = analyze_paths([tmp_path], rule_ids=["T001"])
+        findings = analyze([tmp_path], rule_ids=["T001"])
         assert findings, "deleting the cookie verify must fire T001"
         assert all(f.rule == "T001" for f in findings)
         assert any("_strip_and_forward" in f.message for f in findings)
@@ -258,5 +259,5 @@ def test_rule_selection_is_honoured(tmp_path, rule):
         """,
         prelude=TRUST,
     )
-    findings = analyze_paths([tmp_path], rule_ids=[rule])
+    findings = analyze([tmp_path], rule_ids=[rule])
     assert {f.rule for f in findings} == {rule}

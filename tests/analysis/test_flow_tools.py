@@ -1,4 +1,4 @@
-"""Tooling around the flow engine: SARIF, baselines, U001, and the CLI."""
+"""Tooling around the driver: SARIF, baselines, U001, and the CLI."""
 
 import json
 import textwrap
@@ -11,10 +11,10 @@ from repro.analysis.cli import (
     main,
     rules_markdown,
 )
-from repro.analysis.engine import SuppressionTracker, lint_source
+from repro.analysis.baseline import apply_baseline, load_baseline
+from repro.analysis.engine import RULES, SuppressionTracker, lint_source
 from repro.analysis.findings import Finding
-from repro.analysis.flow.baseline import apply_baseline, load_baseline
-from repro.analysis.flow.sarif import (
+from repro.analysis.sarif import (
     SARIF_VERSION,
     results_from_sarif,
     to_sarif,
@@ -51,6 +51,12 @@ class TestSarif:
         assert doc["runs"][0]["results"] == []
         assert doc["runs"][0]["tool"]["driver"]["rules"]
         assert results_from_sarif(doc) == []
+
+    def test_rule_table_lists_every_registered_rule(self):
+        rules = to_sarif([])["runs"][0]["tool"]["driver"]["rules"]
+        levels = {rule["id"]: rule["defaultConfiguration"]["level"] for rule in rules}
+        assert levels == {rule_id: rule.severity for rule_id, rule in RULES.items()}
+        assert {"L001", "L006", "E999", "U001"} <= set(levels)
 
 
 class TestBaseline:
@@ -137,9 +143,9 @@ class TestUnusedSuppression:
 
 
 class TestCli:
-    def test_flow_clean_run_exits_zero(self, capsys):
-        assert main(["--flow", "src"]) == 0
-        assert capsys.readouterr().out.strip().endswith("0 findings")
+    def test_flow_clean_run_exits_zero(self, repo_run):
+        assert repo_run.exit_code == 0
+        assert repo_run.findings == []
 
     def test_flow_finds_seeded_violation(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(
@@ -158,24 +164,26 @@ class TestCli:
                 """
             )
         )
-        assert main(["--flow", str(tmp_path)]) == 1
+        assert main([str(tmp_path)]) == 1
         assert "T001" in capsys.readouterr().out
 
-    def test_sarif_output_is_valid(self, tmp_path, capsys):
-        out = tmp_path / "findings.sarif"
-        assert main(["--flow", "--sarif", str(out), "src"]) == 0
-        document = json.loads(out.read_text(encoding="utf-8"))
+    def test_sarif_output_is_valid(self, repo_run):
+        document = repo_run.sarif
         assert document["version"] == SARIF_VERSION
         assert document["runs"][0]["results"] == []
-        capsys.readouterr()
+        rules = document["runs"][0]["tool"]["driver"]["rules"]
+        assert [rule["id"] for rule in rules] == sorted(RULES)
 
-    def test_flow_rule_selection(self, capsys):
-        # asking for a flow rule implies the flow engine
-        assert main(["--rules", "S003", "src"]) == 0
-        capsys.readouterr()
+    def test_flow_rule_selection(self, tmp_path, capsys):
+        # --rules narrows the run: the toy's lint finding is not reported
+        (tmp_path / "mod.py").write_text("import random\n")
+        assert main(["--rules", "S003", str(tmp_path)]) == 0
+        assert main([str(tmp_path)]) == 1
+        assert "D002" in capsys.readouterr().out
 
-    def test_unknown_rule_id_is_an_error(self, capsys):
-        assert main(["--rules", "Z999", "src"]) == 2
+    def test_unknown_rule_id_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        assert main(["--rules", "Z999", str(tmp_path)]) == 2
         assert "Z999" in capsys.readouterr().err
 
     def test_baseline_subtracts_and_reports_stale(self, tmp_path, capsys):
@@ -186,7 +194,7 @@ class TestCli:
         empty = tmp_path / "pkg"
         empty.mkdir()
         (empty / "ok.py").write_text("x = 1\n")
-        assert main(["--flow", "--baseline", str(baseline), str(empty)]) == 1
+        assert main(["--baseline", str(baseline), str(empty)]) == 1
         assert "stale baseline entry" in capsys.readouterr().out
 
 

@@ -4,19 +4,20 @@ import ast
 import textwrap
 from pathlib import Path
 
+from repro.analysis.cli import rules_markdown
+from repro.analysis.engine import analyze
 from repro.analysis.layers import (
     DEFAULT_MANIFEST,
     LAYER_RULES,
     LAYERS,
-    analyze_layers,
     declared_layer,
     layer_of,
-    layer_rule_table,
     pure_prefixes,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
+LAYER_IDS = [rule.id for rule in LAYER_RULES]
 
 #: Toy manifest: bare-stem module names, since tmp-dir files resolve to
 #: their stem.
@@ -60,19 +61,19 @@ class TestManifest:
 class TestL001:
     def test_pure_importing_platform_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", "from plat_mod import Link\n")
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L001"])
         assert findings and all(f.rule == "L001" for f in findings)
         assert any("plat_mod" in f.message for f in findings)
 
     def test_pure_importing_adapter_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", "import adapt_mod\n")
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L001"])
         assert [f.rule for f in findings] == ["L001"]
         assert "adapter" in findings[0].message
 
     def test_pure_importing_platform_stdlib_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", "import time\nimport socket\n")
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L001"])
         assert len(findings) == 2
         assert all("platform stdlib" in f.message for f in findings)
 
@@ -82,11 +83,11 @@ class TestL001:
             "pure_mod.py",
             "import dataclasses\nimport hashlib\nimport struct\n",
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
 
     def test_adapter_importing_platform_is_clean(self, tmp_path):
         write(tmp_path, "adapt_mod.py", "from plat_mod import Link\n")
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
 
     def test_type_checking_import_exempt(self, tmp_path):
         write(
@@ -99,7 +100,7 @@ class TestL001:
                 from plat_mod import Link
             """,
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
 
     def test_inline_allow_suppresses(self, tmp_path):
         write(
@@ -107,7 +108,7 @@ class TestL001:
             "pure_mod.py",
             "import time  # repro: allow[L001] legacy shim\n",
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L001"]) == []
 
 
 class TestL002:
@@ -121,7 +122,7 @@ class TestL002:
                 return "drop"
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L002"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L002"])
         assert [f.rule for f in findings] == ["L002"]
         assert "send()" in findings[0].message
 
@@ -138,7 +139,7 @@ class TestL002:
                 return "drop"
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L002"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L002"])
         assert len(findings) == 2  # the helper and the reacher
         assert any("through _emit" in f.message for f in findings)
 
@@ -151,7 +152,7 @@ class TestL002:
                 return "shed" if backlog >= limit else "admit"
             """,
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L002"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L002"]) == []
 
     def test_adapter_may_touch_transport(self, tmp_path):
         write(
@@ -162,7 +163,7 @@ class TestL002:
                 node.send(packet)
             """,
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L002"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L002"]) == []
 
 
 class TestL003:
@@ -175,7 +176,7 @@ class TestL003:
                 return time.time()
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L003"])
         assert [f.rule for f in findings] == ["L003"]
         assert "time.time()" in findings[0].message
 
@@ -188,7 +189,7 @@ class TestL003:
                 return secrets.token_bytes(16)
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L003"])
         assert [f.rule for f in findings] == ["L003"]
 
     def test_blocking_io_builtin_fires(self, tmp_path):
@@ -200,13 +201,13 @@ class TestL003:
                 print(state)
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L003"])
         assert [f.rule for f in findings] == ["L003"]
         assert "print()" in findings[0].message
 
     def test_module_level_mutable_state_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", "_CACHE = {}\n")
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L003"])
         assert [f.rule for f in findings] == ["L003"]
         assert "_CACHE" in findings[0].message
 
@@ -216,11 +217,11 @@ class TestL003:
             "pure_mod.py",
             '__layer__ = "pure-core"\n__state_bounds__ = {}\n',
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L003"]) == []
 
     def test_frozen_constants_clean(self, tmp_path):
         write(tmp_path, "pure_mod.py", "LIMIT = 4096\nNAMES = (1, 2)\n")
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L003"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L003"]) == []
 
 
 class TestL004:
@@ -235,7 +236,7 @@ class TestL004:
                 return cookie == hashlib.md5(material).digest()[:8]
             """,
         )
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L004"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L004"])
         assert findings and all(f.rule == "L004" for f in findings)
         assert any("imports hashlib" in f.message for f in findings)
         assert any("digests inline" in f.message for f in findings)
@@ -251,48 +252,48 @@ class TestL004:
                 return hashlib.md5(material).digest()
             """,
         )
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L004"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L004"]) == []
 
 
 class TestL005:
     def test_stale_declaration_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", '__layer__ = "adapter"\n')
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L005"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L005"])
         assert [f.rule for f in findings] == ["L005"]
         assert "stale declaration" in findings[0].message
 
     def test_declaration_outside_manifest_fires(self, tmp_path):
         write(tmp_path, "stray_mod.py", '__layer__ = "pure-core"\n')
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L005"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L005"])
         assert [f.rule for f in findings] == ["L005"]
         assert "no manifest prefix" in findings[0].message
 
     def test_invalid_layer_value_fires(self, tmp_path):
         write(tmp_path, "pure_mod.py", '__layer__ = "kernel"\n')
-        findings = analyze_layers([tmp_path], manifest=TOY, rule_ids=["L005"])
+        findings = analyze([tmp_path], manifest=TOY, rule_ids=["L005"])
         assert [f.rule for f in findings] == ["L005"]
         assert "not one of" in findings[0].message
 
     def test_manifest_root_without_declaration_fires(self, tmp_path):
         write(tmp_path, "pure_mod/__init__.py", "x = 1\n")
         manifest = {"pure_mod": "pure-core"}
-        findings = analyze_layers([tmp_path], manifest=manifest, rule_ids=["L005"])
+        findings = analyze([tmp_path], manifest=manifest, rule_ids=["L005"])
         assert [f.rule for f in findings] == ["L005"]
         assert "manifest root" in findings[0].message
 
     def test_matching_declaration_clean(self, tmp_path):
         write(tmp_path, "pure_mod.py", '__layer__ = "pure-core"\n')
-        assert analyze_layers([tmp_path], manifest=TOY, rule_ids=["L005"]) == []
+        assert analyze([tmp_path], manifest=TOY, rule_ids=["L005"]) == []
 
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert set(LAYER_RULES) == {"L001", "L002", "L003", "L004", "L005", "L006"}
-        for rule in LAYER_RULES.values():
+        assert set(LAYER_IDS) == {"L001", "L002", "L003", "L004", "L005", "L006"}
+        for rule in LAYER_RULES:
             assert rule.family in ("layering", "layering-runtime")
             assert rule.severity == "error"
-        table = layer_rule_table()
-        for rule_id in LAYER_RULES:
+        table = rules_markdown()
+        for rule_id in LAYER_IDS:
             assert rule_id in table
 
     def test_layers_is_a_valid_value_set(self):
@@ -302,17 +303,15 @@ class TestRegistry:
         import pytest
 
         with pytest.raises(KeyError):
-            analyze_layers([tmp_path], rule_ids=["L999"])
+            analyze([tmp_path], rule_ids=["L999"])
 
 
 class TestRepoIsClean:
-    def test_repo_src_has_no_layer_findings(self):
-        assert analyze_layers([REPO_SRC]) == []
+    def test_repo_src_has_no_layer_findings(self, repo_run):
+        assert repo_run.findings_of(LAYER_IDS) == []
 
-    def test_repo_clean_through_cli(self):
-        from repro.analysis.cli import main
-
-        assert main(["--layers", "src"]) == 0
+    def test_repo_clean_through_cli(self, repo_run):
+        assert repo_run.exit_code == 0
 
 
 # -- seeded-mutation acceptance tests against repo sources --------------------
@@ -336,7 +335,7 @@ class TestSeededMutations:
             "from collections import OrderedDict",
             "from collections import OrderedDict\nfrom repro.netsim import Link",
         )
-        findings = analyze_layers([tmp_path], rule_ids=["L001"])
+        findings = analyze([tmp_path], rule_ids=["L001"])
         assert findings, "a netsim import in the pure core must fire L001"
         assert all(f.rule == "L001" for f in findings)
         assert any("repro.netsim" in f.message for f in findings)
@@ -351,7 +350,7 @@ class TestSeededMutations:
             "\n\n"
             "def fallback_policy(",
         )
-        findings = analyze_layers([tmp_path], rule_ids=["L002"])
+        findings = analyze([tmp_path], rule_ids=["L002"])
         assert [f.rule for f in findings] == ["L002"]
         assert "notify_shed" in findings[0].message
 
@@ -362,7 +361,7 @@ class TestSeededMutations:
             "PROBE_RETRY_INTERVAL = 0.1",
             "PROBE_RETRY_INTERVAL = 0.1\n_PROBE_LOG = []",
         )
-        findings = analyze_layers([tmp_path], rule_ids=["L003"])
+        findings = analyze([tmp_path], rule_ids=["L003"])
         assert [f.rule for f in findings] == ["L003"]
         assert "_PROBE_LOG" in findings[0].message
 
@@ -374,7 +373,7 @@ class TestSeededMutations:
             "import hashlib\n"
             "from .cookie import CookieFactory, random_key",
         )
-        findings = analyze_layers([tmp_path], rule_ids=["L004"])
+        findings = analyze([tmp_path], rule_ids=["L004"])
         assert findings, "hashlib in the adapter must fire L004"
         assert all(f.rule == "L004" for f in findings)
         assert any("imports hashlib" in f.message for f in findings)
@@ -386,6 +385,6 @@ class TestSeededMutations:
             '__layer__ = "pure-core"',
             '__layer__ = "adapter"',
         )
-        findings = analyze_layers([tmp_path], rule_ids=["L005"])
+        findings = analyze([tmp_path], rule_ids=["L005"])
         assert [f.rule for f in findings] == ["L005"]
         assert "stale declaration" in findings[0].message

@@ -12,14 +12,13 @@ from repro.analysis.memory.declarations import (
     find_declaration,
     parse_declaration,
 )
-from repro.analysis.memory.engine import (
-    MEMORY_RULES,
-    analyze_memory,
-    memory_rule_table,
-)
+from repro.analysis.cli import rules_markdown
+from repro.analysis.engine import analyze
+from repro.analysis.memory.engine import MEMORY_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
+MEMORY_IDS = [rule.id for rule in MEMORY_RULES]
 
 
 def write(tmp_path: Path, name: str, source: str, prelude: str = "") -> Path:
@@ -114,7 +113,7 @@ class TestM001:
             """,
             prelude=TRUST,
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M001"])
+        findings = analyze([tmp_path], rule_ids=["M001"])
         assert [f.rule for f in findings] == ["M001"]
         assert "self.table" in findings[0].message
 
@@ -130,7 +129,7 @@ class TestM001:
             """,
             prelude=TRUST,
         )
-        assert [f.rule for f in analyze_memory([tmp_path], rule_ids=["M001"])] == [
+        assert [f.rule for f in analyze([tmp_path], rule_ids=["M001"])] == [
             "M001"
         ]
 
@@ -145,7 +144,7 @@ class TestM001:
             """,
             prelude=TRUST + BOUNDS_CAP,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M001"]) == []
+        assert analyze([tmp_path], rule_ids=["M001"]) == []
 
     def test_internal_keys_and_cold_functions_do_not_fire(self, tmp_path):
         write(
@@ -162,7 +161,7 @@ class TestM001:
             prelude=TRUST,
         )
         # handle's key is internal; offline is not attacker-callable
-        assert analyze_memory([tmp_path], rule_ids=["M001"]) == []
+        assert analyze([tmp_path], rule_ids=["M001"]) == []
 
 
 class TestM002:
@@ -177,7 +176,7 @@ class TestM002:
             """,
             prelude=BOUNDS_CAP,
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M002"])
+        findings = analyze([tmp_path], rule_ids=["M002"])
         assert [f.rule for f in findings] == ["M002"]
         assert "statically enforced" in findings[0].message
 
@@ -194,7 +193,7 @@ class TestM002:
             """,
             prelude=BOUNDS_CAP,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M002"]) == []
+        assert analyze([tmp_path], rule_ids=["M002"]) == []
 
     def test_sweep_only_bounds_carry_no_insert_obligation(self, tmp_path):
         write(
@@ -207,7 +206,7 @@ class TestM002:
             """,
             prelude=BOUNDS_CAP.replace('"cap"', '"sweep"'),
         )
-        assert analyze_memory([tmp_path], rule_ids=["M002"]) == []
+        assert analyze([tmp_path], rule_ids=["M002"]) == []
 
 
 class TestM003:
@@ -224,7 +223,7 @@ class TestM003:
             """,
             prelude=self.PRELUDE,
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M003"])
+        findings = analyze([tmp_path], rule_ids=["M003"])
         assert [f.rule for f in findings] == ["M003"]
         assert findings[0].path == str(path)
         assert findings[0].line == 1  # the __state_bounds__ assignment
@@ -244,7 +243,7 @@ class TestM003:
             """,
             prelude=self.PRELUDE,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M003"]) == []
+        assert analyze([tmp_path], rule_ids=["M003"]) == []
 
 
 class TestM004:
@@ -263,7 +262,7 @@ class TestM004:
             """,
             prelude=BOUNDS_CAP,
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M004"])
+        findings = analyze([tmp_path], rule_ids=["M004"])
         assert [f.rule for f in findings] == ["M004"]
         assert "can be bypassed" in findings[0].message
 
@@ -282,7 +281,7 @@ class TestM004:
             """,
             prelude=BOUNDS_CAP,
         )
-        assert [f.rule for f in analyze_memory([tmp_path], rule_ids=["M004"])] == [
+        assert [f.rule for f in analyze([tmp_path], rule_ids=["M004"])] == [
             "M004"
         ]
 
@@ -301,7 +300,7 @@ class TestM004:
             """,
             prelude=BOUNDS_CAP,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M004"]) == []
+        assert analyze([tmp_path], rule_ids=["M004"]) == []
 
 
 class TestM005:
@@ -319,7 +318,7 @@ class TestM005:
             """,
             prelude=self.PRELUDE,
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M005"])
+        findings = analyze([tmp_path], rule_ids=["M005"])
         assert [f.rule for f in findings] == ["M005"]
         assert "self.log" in findings[0].message
 
@@ -336,7 +335,7 @@ class TestM005:
             """,
             prelude=self.PRELUDE,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M005"]) == []
+        assert analyze([tmp_path], rule_ids=["M005"]) == []
 
     def test_sweep_idiom_is_net_non_growing(self, tmp_path):
         write(
@@ -351,7 +350,7 @@ class TestM005:
             """,
             prelude=self.PRELUDE,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M005"]) == []
+        assert analyze([tmp_path], rule_ids=["M005"]) == []
 
     def test_undeclared_module_is_out_of_scope(self, tmp_path):
         write(
@@ -364,7 +363,7 @@ class TestM005:
                     self.sim.schedule(1.0, self._tick)
             """,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M005"]) == []
+        assert analyze([tmp_path], rule_ids=["M005"]) == []
 
 
 class TestEngine:
@@ -379,22 +378,22 @@ class TestEngine:
             """,
             prelude=TRUST,
         )
-        assert analyze_memory([tmp_path], rule_ids=["M001"]) == []
+        assert analyze([tmp_path], rule_ids=["M001"]) == []
 
     def test_unknown_rule_id_raises(self, tmp_path):
         with pytest.raises(KeyError):
-            analyze_memory([tmp_path], rule_ids=["M999"])
+            analyze([tmp_path], rule_ids=["M999"])
 
     def test_registry_is_consistent(self):
         from repro.analysis.memory.rules import MEMORY_CHECKS
 
-        assert set(MEMORY_RULES) == set(MEMORY_CHECKS) | {"M006"}
-        for rule in MEMORY_RULES.values():
+        assert set(MEMORY_IDS) == set(MEMORY_CHECKS) | {"M006"}
+        for rule in MEMORY_RULES:
             expected = "memory-runtime" if rule.id == "M006" else "memory"
             assert rule.family == expected
             assert rule.severity == "error"
-        table = memory_rule_table()
-        for rule_id in MEMORY_RULES:
+        table = rules_markdown()
+        for rule_id in MEMORY_IDS:
             assert rule_id in table
 
 
@@ -410,20 +409,9 @@ def mutate(tmp_path, relative: str, old: str, new: str) -> Path:
 
 
 class TestAcceptanceMutations:
-    def test_repo_clean_through_cli_with_baseline(self):
-        from repro.analysis.cli import main
-
-        assert (
-            main(
-                [
-                    "--memory",
-                    "--baseline",
-                    "scripts/memory_baseline.json",
-                    "src",
-                ]
-            )
-            == 0
-        )
+    def test_repo_clean_through_cli_with_baseline(self, repo_run):
+        assert repo_run.exit_code == 0
+        assert repo_run.findings_of(MEMORY_IDS) == []
 
     def test_deleting_pending_declaration_fires_m001(self, tmp_path):
         mutate(
@@ -436,7 +424,7 @@ class TestAcceptanceMutations:
             "        },\n",
             "",
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M001"])
+        findings = analyze([tmp_path], rule_ids=["M001"])
         assert findings, "undeclared attacker-keyed _pending must fire M001"
         assert all(f.rule == "M001" for f in findings)
         assert any("_pending" in f.message for f in findings)
@@ -451,7 +439,7 @@ class TestAcceptanceMutations:
             "[next(iter(self._verified_sources))]\n",
             "        self._verified_sources[source] = self.node.sim.now\n",
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M002"])
+        findings = analyze([tmp_path], rule_ids=["M002"])
         assert [f.rule for f in findings] == ["M002"]
         assert "_verified_sources" in findings[0].message
 
@@ -462,7 +450,7 @@ class TestAcceptanceMutations:
             "self._sweep, priority=BOUNDARY_PRIORITY",
             "self._manual_sweep, priority=BOUNDARY_PRIORITY",
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M003"])
+        findings = analyze([tmp_path], rule_ids=["M003"])
         assert findings, "an unscheduled sweep must fire M003"
         assert all(f.rule == "M003" for f in findings)
         assert any("sweep eviction" in f.message for f in findings)
@@ -478,7 +466,7 @@ class TestAcceptanceMutations:
             "            return\n"
             "        if len(self.actions) > ACTION_LOG_CAP:",
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M004"])
+        findings = analyze([tmp_path], rule_ids=["M004"])
         assert [f.rule for f in findings] == ["M004"]
         assert "actions" in findings[0].message
 
@@ -496,6 +484,6 @@ class TestAcceptanceMutations:
             "            if live:\n"
             "                self._held[key] = live\n",
         )
-        findings = analyze_memory([tmp_path], rule_ids=["M005"])
+        findings = analyze([tmp_path], rule_ids=["M005"])
         assert [f.rule for f in findings] == ["M005"]
         assert "_sweep" in findings[0].message

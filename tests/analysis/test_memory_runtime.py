@@ -125,14 +125,14 @@ class TestFailOnAndU001:
 
     def test_unused_memory_allow_is_u001(self, tmp_path, capsys):
         path = self._write(tmp_path, "mod.py", "x = 1  # repro: allow[M003]\n")
-        assert main(["--memory", str(path)]) == 1
+        assert main([str(path)]) == 1
         out = capsys.readouterr().out
         assert "U001" in out and "M003" in out
 
     def test_fail_on_error_ignores_the_u001_warning(self, tmp_path):
         path = self._write(tmp_path, "mod.py", "x = 1  # repro: allow[M003]\n")
-        assert main(["--memory", "--fail-on", "error", str(path)]) == 0
-        assert main(["--memory", "--fail-on", "warning", str(path)]) == 1
+        assert main(["--fail-on", "error", str(path)]) == 0
+        assert main(["--fail-on", "warning", str(path)]) == 1
 
     def test_memory_errors_fail_at_every_threshold(self, tmp_path):
         path = self._write(
@@ -151,7 +151,7 @@ class TestFailOnAndU001:
             """,
         )
         for level in ("note", "warning", "error"):
-            assert main(["--memory", "--fail-on", level, str(path)]) == 1
+            assert main(["--fail-on", level, str(path)]) == 1
 
     def test_suppression_used_by_one_engine_is_not_u001_in_a_combined_run(
         self, tmp_path, capsys
@@ -174,5 +174,5 @@ class TestFailOnAndU001:
                     self.table[packet.src] = packet  # repro: allow[M001] toy
             """,
         )
-        assert main(["--flow", "--races", "--perf", "--memory", str(path)]) == 0
+        assert main([str(path)]) == 0
         assert "U001" not in capsys.readouterr().out

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.perf.engine import PERF_RULES, analyze_perf
+from repro.analysis.engine import analyze
+from repro.analysis.perf.engine import PERF_RULES
 from repro.analysis.perf.hotpath import (
     PerfProfile,
     compute_hot_paths,
@@ -17,6 +18,7 @@ from repro.analysis.flow.core import load_modules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
+PERF_IDS = [rule.id for rule in PERF_RULES]
 
 
 def write(tmp_path: Path, name: str, source: str) -> Path:
@@ -243,7 +245,7 @@ def toy_findings(tmp_path, body: str, rule: str):
     """
     methods = textwrap.indent(textwrap.dedent(body), "    ")
     write(tmp_path, "mod.py", HOT_PRELUDE + methods)
-    return analyze_perf([tmp_path], rule_ids=[rule])
+    return analyze([tmp_path], rule_ids=[rule])
 
 
 class TestChecks:
@@ -261,7 +263,7 @@ class Ticket:
         self.n = 0
 """,
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P001"])
+        findings = analyze([tmp_path], rule_ids=["P001"])
         assert [f.rule for f in findings] == ["P001"]
         assert "Ticket" in findings[0].message
 
@@ -289,7 +291,7 @@ class Boom(Exception):
     pass
 """,
         )
-        assert analyze_perf([tmp_path], rule_ids=["P001"]) == []
+        assert analyze([tmp_path], rule_ids=["P001"]) == []
 
     def test_p002_reencoding(self, tmp_path):
         findings = toy_findings(
@@ -398,17 +400,17 @@ class Boom(Exception):
                 print(f"cold {msg.encode()}")
             """,
         )
-        assert analyze_perf([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=PERF_IDS) == []
 
     def test_unknown_rule_id_raises(self, tmp_path):
         with pytest.raises(KeyError):
-            analyze_perf([tmp_path], rule_ids=["P999"])
+            analyze([tmp_path], rule_ids=["P999"])
 
     def test_registry_is_consistent(self):
         from repro.analysis.perf.rules import PERF_CHECKS
 
-        assert set(PERF_RULES) == set(PERF_CHECKS)
-        assert all(rule.family == "perf" for rule in PERF_RULES.values())
+        assert set(PERF_IDS) == set(PERF_CHECKS)
+        assert all(rule.family == "perf" for rule in PERF_RULES)
 
 
 # -- seeded-mutation acceptance tests against repo sources --------------------
@@ -423,20 +425,9 @@ def mutate(tmp_path, relative: str, old: str, new: str) -> Path:
 
 
 class TestAcceptanceMutations:
-    def test_repo_clean_through_cli_with_baseline(self, capsys):
-        from repro.analysis.cli import main
-
-        assert (
-            main(
-                [
-                    "--perf",
-                    "--baseline",
-                    "scripts/perf_baseline.json",
-                    "src",
-                ]
-            )
-            == 0
-        )
+    def test_repo_clean_through_cli_with_baseline(self, repo_run):
+        assert repo_run.exit_code == 0
+        assert repo_run.findings_of(PERF_IDS) == []
 
     def test_removing_interaction_slots_fires_p001(self, tmp_path):
         mutate(
@@ -445,7 +436,7 @@ class TestAcceptanceMutations:
             '__slots__ = (\n        "lrs",',
             '_not_slots = (\n        "lrs",',
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P001"])
+        findings = analyze([tmp_path], rule_ids=["P001"])
         assert findings, "unslotted per-event _Interaction must fire P001"
         assert any("_Interaction" in f.message for f in findings)
 
@@ -457,7 +448,7 @@ class TestAcceptanceMutations:
             "self._socket.send(response, src, sport, src=dst,"
             " size=response.wire_size(), span=span)",
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P002"])
+        findings = analyze([tmp_path], rule_ids=["P002"])
         assert [f.rule for f in findings] == ["P002"]
         assert "AnsSimulator._serve" in findings[0].message
 
@@ -469,7 +460,7 @@ class TestAcceptanceMutations:
             "self.resolver.timeout * 3,"
             " lambda: self._tcp_fallback_fail(conn)",
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P003"])
+        findings = analyze([tmp_path], rule_ids=["P003"])
         assert [f.rule for f in findings] == ["P003"]
         assert "_retry_over_tcp" in findings[0].message
 
@@ -480,13 +471,13 @@ class TestAcceptanceMutations:
             "self.requests_served += 1",
             'self.requests_served += 1\n        print(f"served {query}")',
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P004"])
+        findings = analyze([tmp_path], rule_ids=["P004"])
         assert findings
         assert all(f.rule == "P004" for f in findings)
         assert any("AnsSimulator._serve" in f.message for f in findings)
 
     def test_reverting_owns_to_list_scan_fires_p005(self, tmp_path):
-        assert analyze_perf(
+        assert analyze(
             [REPO_SRC / "repro" / "netsim" / "node.py"], rule_ids=["P005"]
         ) == []
         mutate(
@@ -495,14 +486,14 @@ class TestAcceptanceMutations:
             "if address in self._address_set:",
             "if address in self.addresses:",
         )
-        findings = analyze_perf([tmp_path], rule_ids=["P005"])
+        findings = analyze([tmp_path], rule_ids=["P005"])
         assert [f.rule for f in findings] == ["P005"]
         assert "Node.owns" in findings[0].message
 
     def test_p006_flags_batch_loops_and_spares_computed_delays(self, tmp_path):
         # the attack batch loop is real accepted debt (scripts/
-        # perf_baseline.json): the raw analyzer must keep flagging it
-        findings = analyze_perf(
+        # analysis_baseline.json): the raw analyzer must keep flagging it
+        findings = analyze(
             [REPO_SRC / "repro" / "attack" / "spoof.py"], rule_ids=["P006"]
         )
         assert any(
@@ -517,5 +508,5 @@ class TestAcceptanceMutations:
             "sim.schedule(self._jitter(i * spacing),"
             " self._send_one, packet)",
         )
-        mutated = analyze_perf([tmp_path], rule_ids=["P006"])
+        mutated = analyze([tmp_path], rule_ids=["P006"])
         assert len(mutated) < len(findings)

@@ -4,9 +4,11 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.races import analyze_races, declarations_for_module
+from repro.analysis.engine import analyze
+from repro.analysis.races import RACE_RULES, declarations_for_module
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+RACE_IDS = [rule.id for rule in RACE_RULES]
 
 
 def write(tmp_path: Path, name: str, source: str, prelude: str = "") -> Path:
@@ -55,7 +57,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        findings = analyze_races([tmp_path])
+        findings = analyze([tmp_path], rule_ids=RACE_IDS)
         assert [f.rule for f in findings] == ["R001"]
         assert "Guard.table" in findings[0].message
 
@@ -77,7 +79,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        assert analyze_races([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=RACE_IDS) == []
 
     def test_commutative_cells_exempt(self, tmp_path):
         write(
@@ -95,7 +97,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        assert analyze_races([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=RACE_IDS) == []
 
     def test_periodic_self_reschedule_is_not_a_pair(self, tmp_path):
         write(
@@ -111,7 +113,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        assert analyze_races([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=RACE_IDS) == []
 
     def test_effects_propagate_through_helpers(self, tmp_path):
         write(
@@ -131,7 +133,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        assert [f.rule for f in analyze_races([tmp_path])] == ["R001"]
+        assert [f.rule for f in analyze([tmp_path], rule_ids=RACE_IDS)] == ["R001"]
 
     def test_inline_allow_suppresses(self, tmp_path):
         write(
@@ -149,7 +151,7 @@ class TestR001:
             """,
             prelude=DECL,
         )
-        assert analyze_races([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=RACE_IDS) == []
 
     def test_same_attr_different_classes_do_not_alias(self, tmp_path):
         write(
@@ -174,7 +176,7 @@ class TestR001:
                     self.table["k"] = 2
             """,
         )
-        assert analyze_races([tmp_path]) == []
+        assert analyze([tmp_path], rule_ids=RACE_IDS) == []
 
 
 class TestR002:
@@ -192,7 +194,7 @@ class TestR002:
             """,
             prelude=DECL,
         )
-        findings = analyze_races([tmp_path])
+        findings = analyze([tmp_path], rule_ids=RACE_IDS)
         assert [f.rule for f in findings] == ["R002"]
         assert "self.cache" in findings[0].message
 
@@ -206,14 +208,14 @@ class TestR002:
                     self._tokens -= 1
             """,
         )
-        findings = analyze_races([tmp_path])
+        findings = analyze([tmp_path], rule_ids=RACE_IDS)
         assert [f.rule for f in findings] == ["R002"]
         assert "__shared_state__" in findings[0].message
 
 
 class TestRepoIsClean:
-    def test_repo_src_has_no_race_findings(self):
-        assert analyze_races([REPO_SRC]) == []
+    def test_repo_src_has_no_race_findings(self, repo_run):
+        assert repo_run.findings_of(RACE_IDS) == []
 
     def test_required_modules_declare_shared_state(self):
         for name in (
@@ -240,7 +242,7 @@ class TestSeededMutations:
         mutated = original[:begin] + original[end:]
         assert "__shared_state__" not in mutated
         write(tmp_path, "guard/core/ratelimit.py", mutated)
-        findings = analyze_races([tmp_path], rule_ids=["R002"])
+        findings = analyze([tmp_path], rule_ids=["R002"])
         assert findings, "deleting __shared_state__ must fire R002"
         assert all(f.rule == "R002" for f in findings)
 
@@ -260,6 +262,6 @@ class TestSeededMutations:
         assert mutated != plan
         write(tmp_path, "faults/plan.py", mutated)
         write(tmp_path, "guard/pipeline.py", pipeline)
-        findings = analyze_races([tmp_path], rule_ids=["R001"])
+        findings = analyze([tmp_path], rule_ids=["R001"])
         assert findings, "removing the boundary lane must fire R001"
         assert all(f.rule == "R001" for f in findings)

@@ -2,8 +2,7 @@
 
 import textwrap
 
-from repro.analysis import lint_source
-from repro.analysis.rules import RULES
+from repro.analysis import RULES, lint_source
 
 
 def findings_for(source: str, rule: str | None = None):

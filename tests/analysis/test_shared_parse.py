@@ -1,11 +1,8 @@
-"""The shared single-parse path: parsed ASTs feed every rule family."""
+"""The shared single-parse path: the driver's one parse feeds every family."""
 
-import json
 import textwrap
 
-from repro.analysis import lint_paths
-from repro.analysis.bench import write_bench_analysis
-from repro.analysis.flow.core import load_modules
+from repro.analysis import analyze, lint_source
 
 
 def write(tmp_path, name, source):
@@ -16,7 +13,7 @@ def write(tmp_path, name, source):
 
 class TestParsedEquivalence:
     def test_lint_with_shared_parse_matches_cold_parse(self, tmp_path):
-        write(
+        path = write(
             tmp_path,
             "mod.py",
             """
@@ -27,51 +24,12 @@ class TestParsedEquivalence:
                 return time.time()
             """,
         )
-        cold = lint_paths([tmp_path])
-        modules = load_modules([tmp_path])
-        parsed = {module.path: module for module in modules}
-        warm = lint_paths([tmp_path], parsed=parsed)
+        cold = lint_source(path.read_text(encoding="utf-8"), str(path))
+        warm = analyze([tmp_path])
         assert warm == cold
         assert warm, "fixture should produce at least one finding"
 
     def test_syntax_error_file_still_reported_with_shared_parse(self, tmp_path):
         write(tmp_path, "broken.py", "def oops(:\n")
-        modules = load_modules([tmp_path])  # skips the E999 file
-        parsed = {module.path: module for module in modules}
-        findings = lint_paths([tmp_path], parsed=parsed)
+        findings = analyze([tmp_path])
         assert [f.rule for f in findings] == ["E999"]
-
-
-class TestBenchAnalysis:
-    def test_writes_document_shape(self, tmp_path):
-        path = tmp_path / "BENCH_analysis.json"
-        doc = write_bench_analysis(
-            str(path),
-            [("parse", 0.5), ("lint", 0.25)],
-            date="2026-08-08",
-        )
-        assert doc["benchmark"] == "analysis-cli"
-        assert doc["unit"] == "seconds"
-        assert doc["value"] == 0.75
-        assert doc["detail"]["phases"] == {"parse": 0.5, "lint": 0.25}
-        assert doc["trajectory"] == [
-            {"date": "2026-08-08", "seconds": 0.75, "phases": {"parse": 0.5, "lint": 0.25}}
-        ]
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
-        assert on_disk == doc
-
-    def test_appends_to_existing_trajectory(self, tmp_path):
-        path = tmp_path / "BENCH_analysis.json"
-        write_bench_analysis(str(path), [("parse", 1.0)], date="2026-08-01")
-        doc = write_bench_analysis(str(path), [("parse", 0.8)], date="2026-08-08")
-        assert [entry["date"] for entry in doc["trajectory"]] == [
-            "2026-08-01",
-            "2026-08-08",
-        ]
-        assert doc["value"] == 0.8
-
-    def test_corrupt_previous_document_starts_fresh(self, tmp_path):
-        path = tmp_path / "BENCH_analysis.json"
-        path.write_text("{not json", encoding="utf-8")
-        doc = write_bench_analysis(str(path), [("parse", 0.1)], date="2026-08-08")
-        assert len(doc["trajectory"]) == 1
